@@ -97,8 +97,7 @@ def cmd_certify(args) -> int:
         report = certify_bilateral(inst.shift, window, depth, m_max=m_max, mode=mode, tol=args.tol)
         return _emit(report, args)
 
-    frame = branch_frame(inst.shift, probe=max(depth, 64))
-    if frame is None:
+    if branch_frame(inst.shift) is None:
         report = certify_unilateral(inst.shift, depth, m_max=m_max, mode=mode, tol=args.tol)
         return _emit(report, args)
 

@@ -87,9 +87,6 @@ class _Checker:
     def psd(self, cid, passed, note=""):
         self.checks.append(check_psd(cid, passed, note))
 
-    def extend(self, checks):
-        self.checks.extend(checks)
-
     def absorb(self, sub: "CertificateReport"):
         self.checks.extend(sub.checks)
         if sub.arithmetic != "exact":
@@ -132,8 +129,31 @@ class BranchFrame:
         return self.stem_fn(j)
 
 
+def _single_child_path(shift: WeightedShift, start, steps: int) -> list:
+    """[start, child(start), ...]: the path of ``steps`` single-child steps.
+
+    Stops early at a leaf; raises NotAChainError at a branching vertex.
+    """
+    out = [start]
+    v = start
+    for _ in range(steps):
+        kids = shift.tree.children(v)
+        if len(kids) > 1:
+            raise NotAChainError(v, len(kids))
+        if not kids:
+            break
+        v = kids[0]
+        out.append(v)
+    return out
+
+
 def branch_frame(shift: WeightedShift, probe: int = 64) -> Optional[BranchFrame]:
-    """Locate the branching vertex, or return None when the tree is a chain."""
+    """Locate the branching vertex, or return None when the tree is a chain.
+
+    A finite tree is decided exactly from its vertex list, and more than one
+    branching vertex is an error.  A lazily generated tree has no vertex
+    list, so only the first ``probe`` steps below its root are searched.
+    """
     tree = shift.tree
     if tree.eta_kappa is not None:
         eta, kappa = tree.eta_kappa
@@ -143,39 +163,34 @@ def branch_frame(shift: WeightedShift, probe: int = 64) -> Optional[BranchFrame]
         raise WrongTreeShapeError(
             "rootless trees are only supported through the generated family or reduction"
         )
-    path = [tree.root]
-    v = tree.root
-    for steps in range(probe + 1):
-        kids = tree.children(v)
-        if len(kids) >= 2:
-            rev = list(reversed(path))  # rev[j] = parent^j(branch vertex)
-            return BranchFrame(v, steps, kids, lambda j, rev=rev: rev[j])
-        if not kids:
-            return None
-        v = kids[0]
-        path.append(v)
-    return None
+    if tree.vertices is not None:
+        branching = [v for v in tree.vertices if len(tree.children(v)) >= 2]
+        if len(branching) > 1:
+            raise WrongTreeShapeError(
+                "tree has more than one branching vertex: "
+                + ", ".join(format_vertex(v) for v in branching)
+            )
+    else:
+        try:
+            _single_child_path(shift, tree.root, probe + 1)
+            branching = []
+        except NotAChainError as exc:
+            branching = [exc.vertex]
+    if not branching:
+        return None
+    stem = branching[:1]  # stem[j] = parent^j(branch vertex)
+    while stem[-1] != tree.root:
+        stem.append(tree.parent(stem[-1]))
+    return BranchFrame(stem[0], len(stem) - 1, tree.children(stem[0]),
+                       lambda j, stem=stem: stem[j])
 
 
-def _stem_product(shift: WeightedShift, frame: BranchFrame, l: int) -> Scalar:
-    """Product of squared stem weights |lambda_0 ... lambda_{-(l-1)}|^2."""
-    P = ONE
-    for j in range(l):
-        P = P * shift.sq(frame.stem_vertex(j))
-    return P
-
-
-def _branch_chain(shift: WeightedShift, entry, length: int) -> list:
-    """The vertices entry, next, ... down a ray; rejects further branching."""
-    out = [entry]
-    v = entry
-    for _ in range(length):
-        kids = shift.tree.children(v)
-        if len(kids) != 1:
-            raise WrongTreeShapeError(f"ray through {format_vertex(entry)} branches at {format_vertex(v)}")
-        v = kids[0]
-        out.append(v)
-    return out
+def _stem_products(shift: WeightedShift, frame: BranchFrame, last: int) -> List[Scalar]:
+    """[P_0, ..., P_last] with P_l = |lambda_0 ... lambda_{-(l-1)}|^2, multiplied left to right."""
+    products = [ONE]
+    for j in range(last):
+        products.append(products[-1] * shift.sq(frame.stem_vertex(j)))
+    return products
 
 
 def _validate_branch_measures(measures: Sequence[AtomicMeasure]) -> None:
@@ -278,20 +293,6 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
 # -- classical chains ----------------------------------------------------------
 
 
-def _chain_walk(shift: WeightedShift, start, steps: int) -> list:
-    out = [start]
-    v = start
-    for _ in range(steps):
-        kids = shift.tree.children(v)
-        if len(kids) > 1:
-            raise NotAChainError(v, len(kids))
-        if not kids:
-            break
-        v = kids[0]
-        out.append(v)
-    return out
-
-
 def _emit_stieltjes_checks(ck: _Checker, verdict, label: str = "") -> None:
     if verdict.violated:
         w = verdict.witness
@@ -317,7 +318,7 @@ def certify_unilateral(shift: WeightedShift, N: int,
     tree = shift.tree
     if not tree.is_rooted:
         raise NotAChainError(tree.root, 0)
-    chain = _chain_walk(shift, tree.root, N)
+    chain = _single_child_path(shift, tree.root, N)
     ck = _Checker(mode, tol)
     t = moment_sequence(shift, tree.root, N)
     sv = stieltjes_check(t, mode=mode, tol=tol)
@@ -373,13 +374,13 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     top = base
     for _ in range(K):
         top = tree.parent_fn(top)
-    _chain_walk(shift, top, K + N)  # single-child shape check over the window
+    chain = _single_child_path(shift, top, K + N)  # chain[K + n] is n steps below base
 
     values = {0: ONE}
     for n in range(1, N + 1):
-        values[n] = values[n - 1] * shift.sq(_offset_vertex(tree, base, n))
+        values[n] = values[n - 1] * shift.sq(chain[K + n])
     for k in range(1, K + 1):
-        values[-k] = values[-k + 1] / shift.sq(_offset_vertex(tree, base, -k + 1))
+        values[-k] = values[-k + 1] / shift.sq(chain[K - k + 1])
     window = {n: values[n] for n in range(-K, N + 1)}
     ts = TwoSidedMomentSequence.from_map(window, origin="two-sided weight products")
 
@@ -393,7 +394,7 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
             ck.psd(f"psd[shift={k}]", True, f"shifted sequence (t_-{k}, ...) consistent")
 
     for k in range(K + 1):
-        ms = moment_sequence(shift, _offset_vertex(tree, base, -k), N)
+        ms = moment_sequence(shift, chain[K - k], N)
         for n in range(N + 1):
             ck.eq(f"tshift[{k},{n}]", values[n - k], values[-k] * ms[n])
 
@@ -414,17 +415,6 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     return ck.report("bilateral-shift-two-sided-stieltjes", params, notes)
 
 
-def _offset_vertex(tree, base, n: int):
-    v = base
-    if n >= 0:
-        for _ in range(n):
-            v = tree.children(v)[0]
-    else:
-        for _ in range(-n):
-            v = tree.parent_fn(v)
-    return v
-
-
 # -- the one-branching-vertex family ------------------------------------------
 
 
@@ -439,7 +429,11 @@ def _case_for_kappa(kappa) -> str:
 def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
                   measures: Sequence[AtomicMeasure], N: int) -> None:
     for i, (entry, mu) in enumerate(zip(frame.entries, measures), 1):
-        ray = _branch_chain(shift, entry, N)
+        ray = _single_child_path(shift, entry, N)
+        if len(ray) <= N:
+            raise WrongTreeShapeError(
+                f"ray through {format_vertex(entry)} ends at {format_vertex(ray[-1])} before depth {N}"
+            )
         prod = ONE
         for n in range(1, N + 1):
             prod = prod * shift.sq(ray[n])
@@ -485,24 +479,19 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     params = {"depth": N, "case": case}
     if case == "i":
         ck.le("zgod", sum1, ONE)
-    elif case == "ii":
-        kappa = int(frame.kappa)
+    else:
+        # case ii ends in the inequality at l = kappa, case iv checks equalities up to ell_max
         ck.eq("zgodp", sum1, ONE)
-        P = ONE
-        for l in range(1, kappa):
-            P = P * shift.sq(frame.stem_vertex(l - 1))
-            ck.eq(f"widly1[{l}]", P * _entry_sum(shift, frame, branch_measures, -(l + 1)), ONE)
-        P = P * shift.sq(frame.stem_vertex(kappa - 1))
-        ck.le("widly1p", P * _entry_sum(shift, frame, branch_measures, -(kappa + 1)), ONE)
-    else:  # case iv
-        ck.eq("zgodp", sum1, ONE)
-        P = ONE
-        for l in range(1, ell_max + 1):
-            P = P * shift.sq(frame.stem_vertex(l - 1))
-            ck.eq(f"widly1[{l}]", P * _entry_sum(shift, frame, branch_measures, -(l + 1)), ONE)
-        params["ell_max"] = ell_max
+        last = int(frame.kappa) if case == "ii" else ell_max
+        for l, P in enumerate(_stem_products(shift, frame, last)[1:], 1):
+            lhs = P * _entry_sum(shift, frame, branch_measures, -(l + 1))
+            if case == "ii" and l == last:
+                ck.le("widly1p", lhs, ONE)
+            else:
+                ck.eq(f"widly1[{l}]", lhs, ONE)
     notes = ["premises of the one-branching-vertex sufficiency criterion verified to the stated order"]
     if case == "iv":
+        params["ell_max"] = ell_max
         notes.append(f"infinite stem: equalities checked for l <= {ell_max} (window-bounded)")
     return ck.report(f"branch-tree-case-{case}", params, notes)
 
@@ -536,7 +525,7 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
         for j in range(kappa - n, kappa):
             rhs = rhs * shift.sq(frame.stem_vertex(j))
         ck.eq(f"prob[{n}]", moments_of(nu, n), rhs)
-    P = _stem_product(shift, frame, kappa)
+    P = _stem_products(shift, frame, kappa)[-1]
     locations = {s for s, _ in nu.atoms if s != 0}
     for mu in branch_measures:
         locations.update(s for s, _ in mu.atoms)
@@ -646,17 +635,18 @@ def build_branch_tree_system(shift: WeightedShift,
     eps: dict = {}
 
     for entry, bmu in zip(frame.entries, branch_measures):
-        ray = _branch_chain(shift, entry, max(branch_depth - 1, 0))
+        ray = _single_child_path(shift, entry, max(branch_depth - 1, 0))
         for n, v in enumerate(ray, 1):
             norm = moments_of(bmu, n - 1)
             mu[v] = AtomicMeasure.from_atoms((s, w * s ** (n - 1) / norm) for s, w in bmu.atoms)
             eps[v] = ZERO
 
     entry_sq = [shift.sq(v) for v in frame.entries]
+    products = _stem_products(shift, frame, int(kappa) if rooted else stem_len)
 
     def stem_measure(power_level: int) -> AtomicMeasure:
         # measure with atoms sum_i P * e_i * w / s**(power_level+1)
-        P = _stem_product(shift, frame, power_level)
+        P = products[power_level]
         atoms = []
         for e, bmu in zip(entry_sq, branch_measures):
             for s, w in bmu.atoms:

@@ -157,15 +157,15 @@ class ZeroAtomInChildError(TreeShiftError):
         )
 
 
-class NotAChainError(TreeShiftError):
+class WrongTreeShapeError(TreeShiftError):
+    """The tree does not have the single-branching-vertex shape."""
+
+
+class NotAChainError(WrongTreeShapeError):
     def __init__(self, vertex, n_children):
         self.vertex = vertex
         self.n_children = n_children
         super().__init__(f"vertex {vertex!r} has {n_children} children; criterion requires a chain")
-
-
-class WrongTreeShapeError(TreeShiftError):
-    """The tree does not have the single-branching-vertex shape."""
 
 
 class CaseMismatchError(TreeShiftError):

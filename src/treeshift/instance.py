@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import InstanceError
-from .measures import AtomicMeasure
+from .errors import InstanceError, WeightUndefinedError
+from .measures import AtomicMeasure, moment_ratio_rule
 from .moments import MomentSequence, TwoSidedMomentSequence
 from .rationals import RationalParseError, parse_rational
 from .shifts import WeightSystem, WeightedShift
@@ -117,7 +117,7 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
                 _fail(f"{path}.map[{key}]", 'expected an "sq" or "amp" field')
 
     rules = doc.get("rules", [])
-    rule_measures = {}
+    ray_rules = {}
     if rules:
         if not isinstance(rules, list):
             _fail(f"{path}.rules", "expected a list of rule objects")
@@ -129,7 +129,8 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
             branch = rule.get("branch")
             if not isinstance(branch, int) or isinstance(branch, bool) or branch < 1:
                 _fail(f"{path}.rules[{i}].branch", "expected a branch index >= 1")
-            rule_measures[branch] = parse_measure(rule.get("measure"), f"{path}.rules[{i}].measure", as_float)
+            mu = parse_measure(rule.get("measure"), f"{path}.rules[{i}].measure", as_float)
+            ray_rules[branch] = moment_ratio_rule(mu)
 
     default = doc.get("default")
     default_sq = None
@@ -139,32 +140,17 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
             _fail(f"{path}.default", 'expected an "sq" field')
         default_sq = _rational(default["sq"], f"{path}.default.sq", as_float)
 
-    if not table and not rule_measures and default_sq is None:
+    if not table and not ray_rules and default_sq is None:
         _fail(path, "weight specification is empty")
-
-    moment_cache: dict = {}
-
-    def rule_sq(v):
-        # ratio-of-moments rules cover the ray vertices (i, j >= 2)
-        if isinstance(v, tuple) and v[0] in rule_measures and v[1] >= 2:
-            mu = rule_measures[v[0]]
-            j = v[1]
-            key = (v[0], j)
-            if key not in moment_cache:
-                moment_cache[key] = mu.moment(j - 1) / mu.moment(j - 2)
-            return moment_cache[key]
-        return None
 
     def sq(v):
         if v in table:
             return table[v]
-        r = rule_sq(v)
-        if r is not None:
-            return r
+        # ratio-of-moments rules cover the ray vertices (i, j >= 2)
+        if isinstance(v, tuple) and v[0] in ray_rules and v[1] >= 2:
+            return ray_rules[v[0]](v[1])
         if default_sq is not None:
             return default_sq
-        from .errors import WeightUndefinedError
-
         raise WeightUndefinedError(v)
 
     return WeightSystem.from_rule(sq)

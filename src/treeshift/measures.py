@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from functools import cache
+from typing import Callable, Iterable, Sequence, Tuple
 
 from .errors import (
     MassExceedsOneError,
     NotInDomainError,
     NotNormalizableError,
     ZeroAtomError,
+    ZeroMomentError,
 )
 from .rationals import INF, ONE, ZERO, Scalar, all_exact, as_scalar, mul0
 
@@ -116,6 +118,28 @@ class AtomicMeasure:
 def moments_of(mu: AtomicMeasure, n: int) -> Scalar:
     """Power moment of any integer order, as an extended nonnegative real."""
     return mu.moment(n)
+
+
+def moment_ratio_rule(mu: AtomicMeasure) -> Callable[[int], Scalar]:
+    """The ray weight rule j -> m_{j-1}(mu) / m_{j-2}(mu) for j >= 2, cached.
+
+    Squared weights (i, 2), (i, 3), ... given by this rule telescope, so the
+    product of the first n of them is m_n(mu) / m_0(mu).  Raises
+    :class:`ZeroMomentError` when a moment it needs vanishes.
+    """
+
+    @cache
+    def moment(n: int) -> Scalar:
+        m = mu.moment(n)
+        if m == 0:
+            raise ZeroMomentError(n)
+        return m
+
+    @cache
+    def ratio(j: int) -> Scalar:
+        return moment(j - 1) / moment(j - 2)
+
+    return ratio
 
 
 def measures_equal(a: AtomicMeasure, b: AtomicMeasure,

@@ -14,11 +14,9 @@ falls back to a symmetric-eigenvalue lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import (
     MeasureRecoveryError,
@@ -170,25 +168,39 @@ def hankel_matrix(values: Sequence[Scalar], offset: int, size: int):
     return [[values[i + j + offset] for j in range(size)] for i in range(size)]
 
 
-def det_exact(matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    n = len(matrix)
-    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
-    det = ONE
+def _forward_eliminate(a) -> int:
+    """Gaussian elimination with partial pivoting on the rows ``a``, in place.
+
+    Brings the leading square block to upper triangular form (entries below
+    the diagonal are left stale, never zeroed) and returns the sign of the
+    row permutation, or 0 when the block is singular.
+    """
+    n = len(a)
+    sign = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
-            return ZERO
+            return 0
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        piv = a[col][col]
-        det *= piv
+            sign = -sign
+        pivot = a[col]
         for r in range(col + 1, n):
-            if a[r][col] == 0:
+            row = a[r]
+            if row[col] == 0:
                 continue
-            factor = a[r][col] / piv
-            a[r] = [a[r][c] - factor * a[col][c] for c in range(n)]
+            factor = row[col] / pivot[col]
+            a[r] = row[:col + 1] + [x - factor * y for x, y in zip(row[col + 1:], pivot[col + 1:])]
+    return sign
+
+
+def det_exact(matrix) -> Fraction:
+    """Determinant by fraction Gaussian elimination with partial pivoting."""
+    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
+    det = Fraction(_forward_eliminate(a))
+    if det:
+        for i in range(len(a)):
+            det *= a[i][i]
     return det
 
 
@@ -196,18 +208,15 @@ def solve_exact(matrix, rhs):
     """Solve A x = b over Fractions; raises ValueError when singular."""
     n = len(matrix)
     a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular system")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    if _forward_eliminate(a) == 0:
+        raise ValueError("singular system")
+    x = [ZERO] * n
+    for i in range(n - 1, -1, -1):
+        acc = a[i][n]
+        for j in range(i + 1, n):
+            acc = acc - a[i][j] * x[j]
+        x[i] = acc / a[i][i]
+    return x
 
 
 def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
@@ -257,7 +266,9 @@ def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
                          two_sided_shift=shift)
 
 
-def psd_violation_float(matrix, tol: float) -> Optional[HankelWitness]:
+def psd_violation_float(matrix, tol: float, kind: str) -> Optional[HankelWitness]:
+    import numpy as np
+
     arr = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     if arr.size == 0:
         return None
@@ -268,7 +279,7 @@ def psd_violation_float(matrix, tol: float) -> Optional[HankelWitness]:
     if low >= bound:
         return None
     return HankelWitness(
-        kind="hankel",
+        kind=kind,
         indices=tuple(range(arr.shape[0])),
         entries=tuple(tuple(row) for row in matrix),
         det=None,
@@ -313,15 +324,8 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
                 witness = _witness_from_indices(kind, matrix, bad)
                 return StieltjesVerdict(kind="violated", upto=N, witness=witness)
         else:
-            witness = psd_violation_float(matrix, tol)
+            witness = psd_violation_float(matrix, tol, kind)
             if witness is not None:
-                witness = HankelWitness(
-                    kind=kind,
-                    indices=witness.indices,
-                    entries=witness.entries,
-                    det=None,
-                    min_eigenvalue=witness.min_eigenvalue,
-                )
                 return StieltjesVerdict(kind="violated", upto=N, witness=witness)
     return StieltjesVerdict(kind="consistent", upto=N)
 
@@ -343,15 +347,7 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
         verdict = stieltjes_check(ts.shifted(k), mode=mode, tol=tol)
         shifts.append(k)
         if verdict.violated:
-            witness = verdict.witness
-            witness = HankelWitness(
-                kind=witness.kind,
-                indices=witness.indices,
-                entries=witness.entries,
-                det=witness.det,
-                min_eigenvalue=witness.min_eigenvalue,
-                two_sided_shift=k,
-            )
+            witness = replace(verdict.witness, two_sided_shift=k)
             return StieltjesVerdict(kind="violated", upto=ts.hi, witness=witness,
                                     shifts_checked=tuple(shifts))
     return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(shifts))
@@ -415,6 +411,8 @@ def _deflate(poly, root):
 
 def _float_root_hints(poly) -> list:
     """Rational candidates reconstructed from floating roots, unverified."""
+    import numpy as np
+
     try:
         arr = np.array([float(c) for c in poly], dtype=float)
         roots = np.polynomial.polynomial.polyroots(arr)
@@ -542,6 +540,8 @@ def _measure_from_roots(values, roots) -> AtomicMeasure:
 
 
 def _recover_float(t: MomentSequence, m: int, tol: float, rank: Optional[int] = None) -> AtomicMeasure:
+    import numpy as np
+
     values = [float(v) for v in t.values]
     scale = max(abs(v) for v in values) or 1.0
     if rank is None:
@@ -605,19 +605,10 @@ def represent(t, m_max: int, mode: str = "auto", tol: float = 1e-8) -> Optional[
     if m < 1:
         return None
     try:
-        measure = recover_atomic_measure(t, m, mode=mode, tol=tol)
+        # recovery already checks every moment of the prefix, not just the 2m it fits
+        return recover_atomic_measure(t, m, mode=mode, tol=tol)
     except MeasureRecoveryError:
         return None
-    exact = measure.is_exact() and t.is_exact()
-    for n in range(len(t)):
-        got = measure.moment(n)
-        want = t.values[n]
-        if exact:
-            if got != want:
-                return None
-        elif abs(float(got) - float(want)) > tol * max(1.0, abs(float(want))):
-            return None
-    return measure
 
 
 # -- determinacy evidence -----------------------------------------------------

@@ -68,10 +68,6 @@ def all_exact(values: Iterable[Scalar]) -> bool:
     return all(isinstance(v, Fraction) for v in values)
 
 
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def mul0(a: Scalar, b: Scalar) -> Scalar:
     """Product under the 0*inf = 0 convention used by every consistency sum."""
     if a == 0 or b == 0:

@@ -158,10 +158,6 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
 
-def verdict_from_checks(checks: List[Check]) -> Verdict:
-    return Verdict.CERTIFIED if all(c.passed for c in checks) else Verdict.VIOLATED
-
-
 def merge_subreports(criterion: str, parts: List[tuple], params: dict,
                      notes: Optional[List[str]] = None) -> CertificateReport:
     """Aggregate labeled sub-reports; any violation dominates, then inconclusive."""

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import (
-    WeightUndefinedError,
-    WrongTreeShapeError,
-    ZeroMomentError,
-    ZeroWeightError,
-)
-from .measures import AtomicMeasure
+from .errors import WeightUndefinedError, WrongTreeShapeError, ZeroWeightError
+from .measures import AtomicMeasure, moment_ratio_rule
 from .moments import MomentSequence
 from .rationals import ONE, ZERO, Scalar, as_scalar, rational_sqrt
 from .trees import KAPPA_INF, DirectedTree, format_vertex, make_tree_eta_kappa
@@ -216,10 +211,8 @@ def synthesize_weights_from_measures(tree: DirectedTree,
         left_fn = left_weight_sq
     else:
         left_list = [as_scalar(x) for x in left_weight_sq]
-        need = 0 if kappa == 0 else (len(left_list) if kappa == KAPPA_INF else int(kappa))
         if kappa != KAPPA_INF and len(left_list) < int(kappa):
             raise ValueError(f"need {int(kappa)} stem weights, got {len(left_list)}")
-        del need
 
         def left_fn(j):
             try:
@@ -227,25 +220,14 @@ def synthesize_weights_from_measures(tree: DirectedTree,
             except IndexError:
                 raise WeightUndefinedError(-j) from None
 
-    moment_cache: dict = {}
-
-    def branch_moment(i, n):
-        cached = moment_cache.get((i, n))
-        if cached is None:
-            cached = branch_measures[i].moment(n)
-            if cached == 0:
-                raise ZeroMomentError(n)
-            moment_cache[(i, n)] = cached
-        return cached
+    ray_rules = [moment_ratio_rule(mu) for mu in branch_measures]
 
     def sq(v):
         if isinstance(v, tuple):
             i, j = v
             if not 1 <= i <= eta:
                 raise WeightUndefinedError(v)
-            if j == 1:
-                return entry[i - 1]
-            return branch_moment(i - 1, j - 1) / branch_moment(i - 1, j - 2)
+            return entry[i - 1] if j == 1 else ray_rules[i - 1](j)
         if isinstance(v, int) and not isinstance(v, bool):
             if v == 0 and kappa == 0:
                 raise WeightUndefinedError(v)  # root carries no weight

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +282,66 @@ class TestInfiniteStemReduce:
                                "--kmax", "3", "--depth", "6")
         assert code == 0
         assert "des[-3]:widly1p" in out
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestShapeAndRuleErrors:
+    def test_zero_mass_ratio_rule_is_an_error(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(A3_DOC))
+        doc["weights"]["rules"][0]["measure"] = {"atoms": [["1", "0"]]}
+        path = _write(tmp_path, "zero.json", doc)
+        for argv in (["moments", "compute", path, "--vertex", "0"], ["certify", path]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert err.startswith("error: moment of order 1 vanishes")
+
+    def test_deep_branching_vertex_selects_branch_criterion(self, capsys, tmp_path):
+        # a 70-edge stem, then two rays of three vertices each
+        edges = [[j, j + 1] for j in range(70)]
+        edges += [[70, "a1"], ["a1", "a2"], ["a2", "a3"], [70, "b1"], ["b1", "b2"], ["b2", "b3"]]
+        doc = {
+            "tree": {"kind": "edges", "edges": edges},
+            "weights": {"map": {"a1": {"sq": "1/2"}, "b1": {"sq": "1/2"}}, "default": {"sq": "1"}},
+            "measures": [{"atoms": [["1", "1"]]}, {"atoms": [["1", "1"]]}],
+        }
+        path = _write(tmp_path, "deep.json", doc)
+        code, out, _ = run_cli(capsys, "certify", path, "--depth", "2", "--format", "struct")
+        assert code == 0
+        report = json.loads(out)
+        assert report["criterion"] == "branch-tree-case-ii"
+        ids = [c["id"] for c in report["checks"]]
+        assert "widly1[69]" in ids and "widly1p" in ids and "widly1[70]" not in ids
+
+    def test_two_branching_vertices_is_an_error(self, capsys, tmp_path):
+        doc = {
+            "tree": {"kind": "edges", "edges": [[0, 1], [0, 2], [1, 3], [1, 4]]},
+            "weights": {"default": {"sq": "1"}},
+            "measures": [{"atoms": [["1", "1"]]}, {"atoms": [["1", "1"]]}],
+        }
+        code, _, err = run_cli(capsys, "certify", _write(tmp_path, "two.json", doc))
+        assert code == 3
+        assert "more than one branching vertex: 0, 1" in err
+
+
+def test_exact_paths_do_not_load_numpy(tmp_path):
+    import treeshift
+
+    seq = _write(tmp_path, "seq.json", {"sequence": ["1", "2", "5", "14"]})
+    a3 = _write(tmp_path, "a3.json", A3_DOC)
+    script = (
+        "import sys, treeshift.cli\n"
+        "assert 'numpy' not in sys.modules, 'import treeshift.cli loaded numpy'\n"
+        f"assert treeshift.cli.main(['moments', 'check', {seq!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'exact moments check loaded numpy'\n"
+        f"assert treeshift.cli.main(['certify', {a3!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'exact certify loaded numpy'\n"
+    )
+    src = str(Path(treeshift.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

@@ -13,6 +13,8 @@ from treeshift import (
     Verdict,
     WeightSystem,
     WeightedShift,
+    WrongTreeShapeError,
+    branch_frame,
     build_branch_tree_system,
     build_tree,
     certify_bilateral,
@@ -455,3 +457,34 @@ class TestSystemLoopClosure:
         cm = check_map(report)
         assert cm["alanconsi[-5]"].passed
         assert cm["widly1[5]"].passed
+
+
+class TestShapeDispatch:
+    def test_finite_tree_branching_below_any_probe(self):
+        edges = [(j, j + 1) for j in range(70)] + [(70, "a"), (70, "b")]
+        shift = WeightedShift(build_tree(edges), WeightSystem.from_rule(lambda v: 1))
+        frame = branch_frame(shift)
+        assert frame.branch_vertex == 70 and frame.kappa == 70
+        assert frame.entries == ("a", "b")
+        assert [frame.stem_vertex(j) for j in (0, 1, 70)] == [70, 69, 0]
+
+    def test_finite_chain_has_no_frame(self):
+        shift = WeightedShift(build_tree([(0, 1), (1, 2)]), WeightSystem.from_rule(lambda v: 1))
+        assert branch_frame(shift) is None
+
+    def test_two_branching_vertices_rejected(self):
+        tree = build_tree([(0, 1), (0, 2), (2, 3), (2, 4)])
+        shift = WeightedShift(tree, WeightSystem.from_rule(lambda v: 1))
+        with pytest.raises(WrongTreeShapeError, match="more than one branching vertex"):
+            branch_frame(shift)
+
+    def test_short_ray_rejected(self):
+        tree = build_tree([("r", "a1"), ("r", "b1"), ("a1", "a2"), ("b1", "b2")])
+        shift = WeightedShift(tree, WeightSystem.from_rule(lambda v: HALF))
+        with pytest.raises(WrongTreeShapeError, match="ends at a2 before depth 3"):
+            certify_branch_tree(shift, [DELTA1, DELTA1], N=3)
+
+    def test_not_a_chain_is_a_shape_error(self, a3_shift):
+        assert issubclass(NotAChainError, WrongTreeShapeError)
+        with pytest.raises(WrongTreeShapeError):
+            certify_unilateral(a3_shift, N=4)

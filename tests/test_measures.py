@@ -159,3 +159,38 @@ class TestMeasureEquality:
         c = AtomicMeasure.from_atoms([(1.0 + 1e-6, 0.5), (2.0, 0.5)])
         assert measures_equal(a, b)
         assert not measures_equal(a, c)
+
+
+class TestMomentRatioRule:
+    def test_products_telescope_to_moments(self):
+        from treeshift.measures import moment_ratio_rule
+
+        mu = AtomicMeasure.from_atoms([(1, Fraction(1, 3)), (3, Fraction(2, 3))])
+        rule = moment_ratio_rule(mu)
+        prod = Fraction(1)
+        for n in range(1, 8):
+            prod *= rule(n + 1)
+            assert prod == mu.moment(n)
+        assert rule(3) is rule(3)  # cached
+
+    def test_vanishing_moment_raises(self):
+        from treeshift import ZeroMomentError
+        from treeshift.measures import moment_ratio_rule
+
+        with pytest.raises(ZeroMomentError):
+            moment_ratio_rule(AtomicMeasure.from_atoms([(1, 0)]))(2)
+        with pytest.raises(ZeroMomentError):
+            moment_ratio_rule(AtomicMeasure.point_mass(0))(2)
+
+    def test_document_rules_and_synthesis_agree(self):
+        from treeshift import make_branch_shift
+        from treeshift.instance import parse_weights
+
+        mu = AtomicMeasure.from_atoms([(1, HALF), (Fraction(5, 2), HALF)])
+        doc = {"map": {"(1,1)": {"sq": "1/2"}, "(2,1)": {"sq": "1/2"}},
+               "rules": [{"branch": i, "formula": "ratio_of_moments",
+                          "measure": {"atoms": [["1", "1/2"], ["5/2", "1/2"]]}} for i in (1, 2)]}
+        parsed = parse_weights(doc, "$.weights", None, as_float=False)
+        synthesized = make_branch_shift(2, 0, [mu, mu], [HALF, HALF])
+        for v in [(i, j) for i in (1, 2) for j in range(1, 9)]:
+            assert parsed.sq(v) == synthesized.sq(v)

@@ -216,3 +216,21 @@ def test_violation_is_stable_under_extension(values):
     verdict = stieltjes_check(values)
     if verdict.violated:
         assert stieltjes_check(list(values) + [Fraction(1)]).violated
+
+
+@given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_det_and_solve_agree_by_cramers_rule(n, rnd):
+    from treeshift.moments import det_exact, solve_exact
+
+    a = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    b = [Fraction(rnd.randint(-4, 4)) for _ in range(n)]
+    det = det_exact(a)
+    if det == 0:
+        with pytest.raises(ValueError):
+            solve_exact(a, b)
+        return
+    x = solve_exact(a, b)
+    for i in range(n):
+        a_i = [row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]
+        assert x[i] == det_exact(a_i) / det
