@@ -317,7 +317,7 @@ def certify_unilateral(shift: WeightedShift, N: int,
     """
     tree = shift.tree
     if not tree.is_rooted:
-        raise NotAChainError(tree.root, 0)
+        raise WrongTreeShapeError("unilateral criterion needs a rooted chain")
     chain = _single_child_path(shift, tree.root, N)
     ck = _Checker(mode, tol)
     t = moment_sequence(shift, tree.root, N)

@@ -248,13 +248,53 @@ def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
         piv = a[p][p]
         keep = [r for r in range(m) if r != p]
         col = [a[r][p] for r in keep]
-        a = [
-            [a[r][c] - col[i] * col[j] / piv for j, c in enumerate(keep)]
-            for i, r in enumerate(keep)
-        ]
+        scaled = [x / piv for x in col]
+        # the complement stays symmetric: build its upper triangle and mirror it
+        b = [[None] * (m - 1) for _ in keep]
+        for i, r in enumerate(keep):
+            row, x, out = a[r], col[i], b[i]
+            for j in range(i, m - 1):
+                out[j] = b[j][i] = row[keep[j]] - x * scaled[j]
+        a = b
         pivots.append(idx[p])
         idx = [idx[r] for r in keep]
     return None
+
+
+def _qd_positive(t) -> bool:
+    """True when t_0 > 0 and the S-fraction coefficients c_1..c_N are all positive.
+
+    The Stieltjes continued fraction t_0 / (1 - c_1 z / (1 - c_2 z / ...)) of
+    t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0) in Rutishauser's
+    quotient-difference rhombus, and every leading principal minor of
+    (t_{i+j}) and (t_{i+j+1}) is a product of powers of t_0 and c_1..c_N
+    (Wall 1948), so a True result proves both forms positive definite.
+    The rhombus grows one anti-diagonal per entry t_d, from q_1^(d-1) down
+    to c_d, so the pass stops within reach of the first entry that breaks
+    positivity.  On a positive definite prefix every rhombus entry is
+    positive (the entries are the coefficients of the shifted sequences), so
+    the first entry <= 0 ends the pass: False means "not proven", never
+    "violated".
+    """
+    if t[0] <= 0:
+        return False
+    prev: list = []   # anti-diagonal of t_{d-1}: q_1^(d-2), e_1^(d-3), q_2^(d-4), ...
+    for d in range(1, len(t)):
+        if t[d] <= 0:
+            return False
+        cur = [t[d] / t[d - 1]]
+        for i in range(1, d):
+            if i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
+                x = cur[i - 1] - prev[i - 1]
+                if i > 1:
+                    x += prev[i - 2]
+            else:       # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
+                x = prev[i - 2] * cur[i - 1] / prev[i - 1]
+            if x <= 0:
+                return False
+            cur.append(x)
+        prev = cur
+    return True
 
 
 def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
@@ -304,7 +344,9 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
 
     Both conditions are necessary for every truncation of a Stieltjes moment
     sequence; a failure of either is a certificate of non-membership, and it
-    stays a certificate under any extension of the sequence.
+    stays a certificate under any extension of the sequence.  In exact mode
+    the O(N^2) quotient-difference pass decides positive definite prefixes;
+    the elimination runs only when it does not, and finds the witness.
     """
     t = MomentSequence.coerce(t)
     n = len(t)
@@ -313,6 +355,8 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
     arith = resolve_mode(t.values, mode)
     values = t.values if arith == "exact" else tuple(float(v) for v in t.values)
     N = n - 1
+    if arith == "exact" and _qd_positive(values):
+        return StieltjesVerdict(kind="consistent", upto=N)
     layouts = [("hankel", 0, N // 2 + 1)]
     if N >= 1:
         layouts.append(("hankel_shifted", 1, (N - 1) // 2 + 1))
@@ -356,23 +400,29 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
 # -- atomic-measure recovery --------------------------------------------------
 
 
+# trial division enumerates the divisors of |a0|, |an| up to 10**10 and no further
+_MAX_TRIAL_DIVISIONS = 10 ** 5
+
+
 def _rational_root_candidates(a0: int, an: int, cap: int = 4000):
-    """Candidate roots p/q with p | a0 and q | an, both signs, lowest terms."""
+    """Candidate roots p/q with p | a0 and q | an, both signs, lowest terms.
+
+    None when a coefficient is too large to trial-divide within
+    ``_MAX_TRIAL_DIVISIONS`` steps or has more than ``cap`` divisors.
+    """
 
     def divisors(n: int):
         n = abs(n)
-        if n == 0:
+        if n == 0 or math.isqrt(n) > _MAX_TRIAL_DIVISIONS:
             return None
         out = []
-        d = 1
-        while d * d <= n:
+        for d in range(1, math.isqrt(n) + 1):
             if n % d == 0:
                 out.append(d)
                 if d != n // d:
                     out.append(n // d)
-            d += 1
-            if len(out) > cap:
-                return None
+                if len(out) > cap:
+                    return None
         return sorted(out)
 
     ps = divisors(a0)

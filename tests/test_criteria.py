@@ -125,6 +125,11 @@ class TestUnilateral:
         with pytest.raises(NotAChainError):
             certify_unilateral(a3_shift, N=4)
 
+    def test_rootless_rejected(self, ones_bilateral):
+        with pytest.raises(WrongTreeShapeError, match="needs a rooted chain") as exc:
+            certify_unilateral(ones_bilateral, N=4)
+        assert not isinstance(exc.value, NotAChainError)
+
 
 class TestBilateral:
     def test_isometry(self, ones_bilateral):

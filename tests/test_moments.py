@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,13 @@ from treeshift import (
     represent,
     stieltjes_check,
     two_sided_stieltjes_check,
+)
+from treeshift.moments import (
+    _qd_positive,
+    _witness_from_indices,
+    det_exact,
+    hankel_matrix,
+    psd_violation_exact,
 )
 from conftest import DELTA1, random_measure
 
@@ -77,6 +88,14 @@ class TestStieltjesCheck:
             mu = random_measure(rng)
             values = [moments_of(mu, n) for n in range(11)]
             assert not stieltjes_check(values).violated
+
+    def test_reciprocal_moments_order_160_consistent(self):
+        # Beta(1, 1) moments: the quotient-difference pass decides them in O(N^2)
+        values = [Fraction(1, n + 1) for n in range(161)]
+        assert _qd_positive(values)
+        v = stieltjes_check(values)
+        assert v.kind == "consistent"
+        assert v.upto == 160
 
     def test_monotone_refutation(self):
         base = [Fraction(1), Fraction(2), Fraction(1), Fraction(2)]
@@ -159,6 +178,30 @@ class TestRecovery:
             rec = recover_atomic_measure(values, len(mu.atoms))
             assert rec.atoms == mu.atoms
 
+    def test_large_prime_constant_term_is_bounded(self):
+        # kernel polynomial x^2 - a x + b with b = 10**24 + 7 and irrational roots:
+        # divisor enumeration of b would need 10**12 trial divisions
+        script = (
+            "from fractions import Fraction as F\n"
+            "from treeshift import MeasureRecoveryError, recover_atomic_measure\n"
+            "a, b = 3 * 10 ** 12, 10 ** 24 + 7\n"
+            "t = [F(1), F(a, 2)]\n"
+            "while len(t) < 6:\n"
+            "    t.append(a * t[-1] - b * t[-2])\n"
+            "try:\n"
+            "    print(len(recover_atomic_measure(t, 3).atoms))\n"
+            "except MeasureRecoveryError as exc:\n"
+            "    print(exc.reason)\n"
+        )
+        import treeshift
+
+        src = str(Path(treeshift.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() in {"2", "nonreal_roots", "negative_location",
+                                          "negative_mass", "rank_deficient"}
+
     def test_represent_checks_whole_prefix(self):
         mu = AtomicMeasure.from_atoms([(1, "1/2"), (4, "1/2")])
         values = [moments_of(mu, n) for n in range(8)]
@@ -234,3 +277,126 @@ def test_det_and_solve_agree_by_cramers_rule(n, rnd):
     for i in range(n):
         a_i = [row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]
         assert x[i] == det_exact(a_i) / det
+
+
+# -- the quotient-difference pass against the elimination ----------------------------
+
+
+def quarters(lo, hi):
+    return st.integers(lo, hi).map(lambda k: Fraction(k, 4))
+
+
+eighths = st.integers(1, 16).map(lambda k: Fraction(k, 8))
+
+
+@st.composite
+def rational_prefixes(draw):
+    """t_0..t_N: moments of a measure with enough atoms (plain) or few (atomic),
+    with one entry perturbed, with zeros, or arbitrary nonnegative rationals."""
+    N = draw(st.integers(min_value=0, max_value=12))
+    shape = draw(st.sampled_from(("plain", "atomic", "perturbed", "zeros", "arbitrary")))
+    if shape == "arbitrary":
+        return draw(st.lists(quarters(0, 20), min_size=N + 1, max_size=N + 1))
+    rank = draw(st.integers(1, max(1, N // 2))) if shape == "atomic" else N // 2 + 2
+    where = draw(st.lists(quarters(0, 20), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    t = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(N + 1)]
+    if shape == "perturbed":
+        i = draw(st.integers(0, N))
+        t[i] = max(Fraction(0), t[i] + Fraction(draw(st.integers(-18, 18)), 9))
+    elif shape == "zeros":
+        for i in draw(st.sets(st.integers(0, N), min_size=1)):
+            t[i] = Fraction(0)
+    return t
+
+
+def _forms(values):
+    N = len(values) - 1
+    return (("hankel", 0, N // 2 + 1), ("hankel_shifted", 1, (N - 1) // 2 + 1))
+
+
+def _eliminate_both_forms(values, shift=None):
+    """The witness the elimination alone finds in (t_{i+j}), then (t_{i+j+1}), or None."""
+    for kind, offset, size in _forms(values):
+        matrix = hankel_matrix(values, offset, size)
+        bad = psd_violation_exact(matrix)
+        if bad is not None:
+            return _witness_from_indices(kind, matrix, bad, shift)
+    return None
+
+
+@given(rational_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_qd_pass_iff_leading_minors_positive(values):
+    minors = [det_exact(hankel_matrix(values, offset, k))
+              for _, offset, size in _forms(values) for k in range(1, size + 1)]
+    assert _qd_positive(values) == all(d > 0 for d in minors)
+
+
+@given(rational_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_stieltjes_check_matches_elimination(values):
+    verdict = stieltjes_check(values)
+    witness = _eliminate_both_forms(tuple(values))
+    assert verdict.kind == ("violated" if witness else "consistent")
+    assert verdict.witness == witness
+
+
+@st.composite
+def two_sided_windows(draw):
+    """t_{-K}..t_N of an atomic measure on (0, inf), one entry possibly rescaled."""
+    K = draw(st.integers(0, 4))
+    N = draw(st.integers(0, 8))
+    rank = draw(st.integers(1, 5))
+    where = draw(st.lists(quarters(1, 16), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    values = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(-K, N + 1)]
+    i = draw(st.integers(0, K + N))
+    values[i] *= draw(st.sampled_from((Fraction(1), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2))))
+    return TwoSidedMomentSequence(-K, tuple(values))
+
+
+@given(two_sided_windows())
+@settings(max_examples=100, deadline=None)
+def test_two_sided_check_matches_per_shift_elimination(ts):
+    K = -ts.lo
+    verdict = two_sided_stieltjes_check(ts)
+    for k in range(K + 1):
+        witness = _eliminate_both_forms(ts.shifted(k).values, shift=k)
+        if witness is not None:
+            break
+    assert verdict.witness == witness
+    assert verdict.kind == ("violated" if witness else "consistent")
+    assert verdict.shifts_checked == tuple(range(k + 1))
+
+
+def _full_schur_violation(matrix):
+    """psd_violation_exact's diagonal-pivoting elimination, updating every entry."""
+    idx = list(range(len(matrix)))
+    a = [list(row) for row in matrix]
+    pivots = []
+    while idx:
+        m = len(idx)
+        for r in range(m):
+            if a[r][r] < 0:
+                return tuple(sorted(pivots + [idx[r]]))
+        p = next((r for r in range(m) if a[r][r] > 0), None)
+        if p is None:
+            for r in range(m):
+                for c in range(r + 1, m):
+                    if a[r][c] != 0:
+                        return tuple(sorted(pivots + [idx[r], idx[c]]))
+            return None
+        keep = [r for r in range(m) if r != p]
+        a = [[a[r][c] - a[r][p] * a[c][p] / a[p][p] for c in keep] for r in keep]
+        pivots.append(idx[p])
+        idx = [idx[r] for r in keep]
+    return None
+
+
+@given(rational_prefixes(), st.integers(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_symmetric_schur_update_matches_full_update(values, offset):
+    size = (len(values) - offset + 1) // 2
+    matrix = hankel_matrix(values, offset, size)
+    assert psd_violation_exact(matrix) == _full_schur_violation(matrix)
