@@ -54,6 +54,13 @@ from .trees import (
 DEFAULT_ELL = 25
 
 
+def _require_nonnegative(**orders: int) -> None:
+    """Reject a negative depth, window or ancestor count before any check runs."""
+    for name, value in orders.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 class _Checker:
     """Accumulates checks, tracking whether everything stayed exact."""
 
@@ -367,6 +374,7 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     -n+1..0), runs the shifted Hankel checks for every k <= K, and verifies
     the shift identity t_{n-k} = t_{-k} * ||S^n e_{-k}||^2 exactly.
     """
+    _require_nonnegative(window=K, depth=N)
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("two-sided criterion needs a rootless chain")
@@ -459,6 +467,7 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     the stem equalities for l below the stem length, and the final
     inequality (widly1'); infinite stem -> equalities for l up to ell_max.
     """
+    _require_nonnegative(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
@@ -507,6 +516,7 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
     the measure identity s^kappa dnu = P * sum_i sq_i (1/s) dmu_i atom by
     atom (probp).
     """
+    _require_nonnegative(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex")
@@ -765,6 +775,7 @@ def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
     union of those descendant sets over all k covers the whole tree, so the
     aggregate is the window-bounded form of the subtree equivalence.
     """
+    _require_nonnegative(k_max=k_max)
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("reduction applies to rootless trees")

@@ -225,18 +225,18 @@ def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
     Symmetric elimination with diagonal pivoting: a negative diagonal entry
     of the running Schur complement, or a zero diagonal with a nonzero
     residual row, closes a witness together with the pivots used so far.
+    Each step computes the O(m) diagonal of the next complement before its
+    O(m^2) update, so the step that exposes a negative entry skips the update.
     """
     n = len(matrix)
-    if n == 0:
-        return None
+    bad = next((r for r in range(n) if matrix[r][r] < 0), None)
+    if bad is not None:
+        return (bad,)
     idx = list(range(n))
     a = [list(row) for row in matrix]
     pivots: list = []
     while idx:
         m = len(idx)
-        for r in range(m):
-            if a[r][r] < 0:
-                return tuple(sorted(pivots + [idx[r]]))
         p = next((r for r in range(m) if a[r][r] > 0), None)
         if p is None:
             # all remaining diagonal entries are zero
@@ -249,57 +249,125 @@ def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
         keep = [r for r in range(m) if r != p]
         col = [a[r][p] for r in keep]
         scaled = [x / piv for x in col]
+        pivots.append(idx[p])
+        idx = [idx[r] for r in keep]
+        diag = [a[r][r] - x * y for r, x, y in zip(keep, col, scaled)]
+        bad = next((i for i, x in enumerate(diag) if x < 0), None)
+        if bad is not None:
+            return tuple(sorted(pivots + [idx[bad]]))
         # the complement stays symmetric: build its upper triangle and mirror it
         b = [[None] * (m - 1) for _ in keep]
         for i, r in enumerate(keep):
             row, x, out = a[r], col[i], b[i]
-            for j in range(i, m - 1):
+            out[i] = diag[i]
+            for j in range(i + 1, m - 1):
                 out[j] = b[j][i] = row[keep[j]] - x * scaled[j]
         a = b
-        pivots.append(idx[p])
-        idx = [idx[r] for r in keep]
     return None
 
 
-def _qd_positive(t) -> bool:
-    """True when t_0 > 0 and the S-fraction coefficients c_1..c_N are all positive.
+def _qd_stop(t) -> Optional[Tuple[int, Scalar]]:
+    """Where the quotient-difference pass on t_0..t_N stops, or None if it never does.
 
     The Stieltjes continued fraction t_0 / (1 - c_1 z / (1 - c_2 z / ...)) of
     t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0) in Rutishauser's
     quotient-difference rhombus, and every leading principal minor of
     (t_{i+j}) and (t_{i+j+1}) is a product of powers of t_0 and c_1..c_N
-    (Wall 1948), so a True result proves both forms positive definite.
-    The rhombus grows one anti-diagonal per entry t_d, from q_1^(d-1) down
-    to c_d, so the pass stops within reach of the first entry that breaks
-    positivity.  On a positive definite prefix every rhombus entry is
-    positive (the entries are the coefficients of the shifted sequences), so
-    the first entry <= 0 ends the pass: False means "not proven", never
+    (Wall 1948): with t_0 > 0, c_1..c_{2k-2} > 0 make the leading k x k
+    block of (t_{i+j}) positive definite and c_1..c_{2k-1} > 0 that of
+    (t_{i+j+1}).  The rhombus grows one anti-diagonal per entry t_d, from
+    q_1^(d-1) = t_d / t_{d-1} down to c_d, and stops at the first entry
+    x <= 0 with (d, x) (with (0, t_0) when t_0 <= 0): every entry of the
+    anti-diagonals before d, hence c_1..c_{d-1}, is then positive.  None
+    means every entry, hence every c_j, is positive, which proves both forms
+    positive definite.  The entries with superscript n are the coefficients
+    of the shifted sequence (t_n, t_{n+1}, ...), so on a positive definite
+    prefix all of them are positive, and a stop means "not proven", never
     "violated".
     """
     if t[0] <= 0:
-        return False
+        return 0, t[0]
     prev: list = []   # anti-diagonal of t_{d-1}: q_1^(d-2), e_1^(d-3), q_2^(d-4), ...
     for d in range(1, len(t)):
-        if t[d] <= 0:
-            return False
-        cur = [t[d] / t[d - 1]]
-        for i in range(1, d):
-            if i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
+        cur: list = []
+        for i in range(d):
+            if i == 0:
+                x = t[d] / t[d - 1]
+            elif i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
                 x = cur[i - 1] - prev[i - 1]
                 if i > 1:
                     x += prev[i - 2]
-            else:       # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
+            else:         # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
                 x = prev[i - 2] * cur[i - 1] / prev[i - 1]
             if x <= 0:
-                return False
+                return d, x
             cur.append(x)
         prev = cur
-    return True
+    return None
+
+
+def _qd_positive(t) -> bool:
+    """True when the quotient-difference pass proves both Hankel forms positive definite."""
+    return _qd_stop(t) is None
+
+
+def _finite_rank_consistent(t, d: int) -> bool:
+    """True when t_0..t_N, whose qd pass stopped at anti-diagonal d, is proven finite-rank PSD.
+
+    Let k = ceil(d / 2).  The anti-diagonals before d are positive, so
+    c_1..c_{2k-2} > 0 make H_k = (t_{i+j})_{i,j<k} positive definite; solve
+    H_k c = (t_k, ..., t_{2k-1}) (2k - 1 <= d, inside the prefix).  If
+    t_{m+k} = sum_l c_l t_{m+l} holds for m = 0..N-k, then every row of
+    either form past row k - 1 is the same combination of the rows before
+    it (all entries involved are t_0..t_N), so (t_{i+j}) = P^T H_k P and
+    (t_{i+j+1}) = P^T H'_k P for one matrix P, with H'_k = (t_{i+j+1})_{i,j<k}.
+    For d = 2k, c_{2k-1} > 0 too, so H'_k is positive definite and both
+    forms are PSD.  For d = 2k - 1 (the case of an atom at 0) only H'_{k-1}
+    is known positive definite; there c_0 = 0 is required, so t_{m+1} obeys
+    the order k - 1 recurrence with coefficients c_1..c_{k-1} and
+    (t_{i+j+1}) = Q^T H'_{k-1} Q is PSD as well.  Either way the prefix is
+    consistent.  False means "not proven".
+    """
+    k = (d + 1) // 2
+    if k == 0:
+        return False
+    c = solve_exact(hankel_matrix(t, 0, k), t[k:2 * k])
+    if d % 2 and c[0] != 0:
+        return False
+    return all(t[m + k] == sum(x * y for x, y in zip(c, t[m:m + k]))
+               for m in range(len(t) - k))
+
+
+def _symmetric_det(matrix) -> Fraction:
+    """Determinant of a symmetric matrix by elimination in index order.
+
+    Each step divides the pivot row once and updates only the upper
+    triangle of the trailing block, about half the work of ``det_exact``;
+    a zero pivot hands the whole matrix to ``det_exact``, which pivots by
+    rows.  It shares no code with ``psd_violation_exact``, so it re-verifies
+    what that elimination found.
+    """
+    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
+    n = len(a)
+    det = ONE
+    for k in range(n):
+        row = a[k]
+        piv = row[k]
+        if piv == 0:
+            return det_exact(matrix)
+        det *= piv
+        scaled = [x / piv for x in row[k + 1:]]
+        for i in range(k + 1, n):
+            x = row[i]
+            if x:
+                rest = a[i]
+                rest[i:] = [y - x * s for y, s in zip(rest[i:], scaled[i - k - 1:])]
+    return det
 
 
 def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
     sub = tuple(tuple(matrix[r][c] for c in indices) for r in indices)
-    det = det_exact(sub)
+    det = _symmetric_det(sub)
     if det >= 0:  # the elimination guarantees a negative principal minor
         raise AssertionError(f"witness minor {indices} has determinant {det}")
     return HankelWitness(kind=kind, indices=tuple(indices), entries=sub, det=det,
@@ -345,8 +413,10 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
     Both conditions are necessary for every truncation of a Stieltjes moment
     sequence; a failure of either is a certificate of non-membership, and it
     stays a certificate under any extension of the sequence.  In exact mode
-    the O(N^2) quotient-difference pass decides positive definite prefixes;
-    the elimination runs only when it does not, and finds the witness.
+    the O(N^2) quotient-difference pass decides positive definite prefixes,
+    and a pass that stops on a zero entry is followed by the finite-rank
+    proof of ``_finite_rank_consistent``; the elimination runs only when
+    neither proves the prefix consistent, and finds the witness.
     """
     t = MomentSequence.coerce(t)
     n = len(t)
@@ -355,8 +425,10 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
     arith = resolve_mode(t.values, mode)
     values = t.values if arith == "exact" else tuple(float(v) for v in t.values)
     N = n - 1
-    if arith == "exact" and _qd_positive(values):
-        return StieltjesVerdict(kind="consistent", upto=N)
+    if arith == "exact":
+        stop = _qd_stop(values)
+        if stop is None or (stop[1] == 0 and _finite_rank_consistent(values, stop[0])):
+            return StieltjesVerdict(kind="consistent", upto=N)
     layouts = [("hankel", 0, N // 2 + 1)]
     if N >= 1:
         layouts.append(("hankel_shifted", 1, (N - 1) // 2 + 1))
@@ -380,12 +452,20 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
 
     A two-sided sequence is a moment window of a measure on (0, inf) exactly
     when every left shift is Stieltjes; k ranges over 0..K here, bounded by
-    the window.
+    the window.  In exact mode one quotient-difference pass over the longest
+    shift (t_{-K}, ...) comes first: its rhombus entries with superscript
+    n >= K - k are the whole rhombus of shift k, so a pass with every entry
+    positive proves every shift positive definite at once.  Otherwise each
+    shift is checked in turn, and the first violated one gives the witness.
     """
     if K is None:
         K = -ts.lo
+    if K < 0:
+        raise ValueError(f"window must be nonnegative, got {K}")
     if K > -ts.lo:
         raise WindowTooSmallError(-ts.lo, K)
+    if resolve_mode(ts.values, mode) == "exact" and _qd_positive(ts.shifted(K).values):
+        return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
     shifts = []
     for k in range(K + 1):
         verdict = stieltjes_check(ts.shifted(k), mode=mode, tol=tol)
@@ -674,6 +754,8 @@ def carleman_partial_sum(t, N: Optional[int] = None) -> float:
     t = MomentSequence.coerce(t)
     if N is None:
         N = len(t) - 1
+    if N < 0:
+        raise ValueError(f"number of terms must be nonnegative, got {N}")
     if N > len(t) - 1:
         raise ValueError(f"sequence has {len(t) - 1} usable terms, {N} requested")
     total = 0.0

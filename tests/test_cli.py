@@ -328,6 +328,41 @@ class TestShapeAndRuleErrors:
         assert "more than one branching vertex: 0, 1" in err
 
 
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestNegativeOrders:
+    """A negative depth, window, k_max or term count is an input error, never a vacuous pass."""
+
+    def _rejects(self, capsys, *argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {name} must be nonnegative")
+
+    def test_negative_window_on_violated_window(self, capsys):
+        path = str(DATA / "two_sided_violated.json")
+        assert run_cli(capsys, "moments", "check", path)[0] == 1
+        self._rejects(capsys, "moments", "check", path, "--window", "-1", name="window")
+
+    def test_negative_depth_branch_tree(self, capsys):
+        self._rejects(capsys, "certify", str(DATA / "a3.json"), "--depth", "-1", name="depth")
+
+    def test_negative_depth_root_measure_form(self, capsys):
+        self._rejects(capsys, "certify", str(DATA / "a3_nu.json"), "--depth", "-1", name="depth")
+
+    def test_negative_depth_bilateral(self, capsys):
+        self._rejects(capsys, "certify", str(DATA / "bilateral.json"), "--depth", "-1", name="depth")
+
+    def test_negative_kmax(self, capsys):
+        self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "-1", name="k_max")
+
+    def test_negative_carleman_upto(self, capsys):
+        self._rejects(capsys, "moments", "carleman", str(DATA / "a3_orbit.json"), "--upto", "-3",
+                      name="number of terms")
+
+
 def test_exact_paths_do_not_load_numpy(tmp_path):
     import treeshift
 

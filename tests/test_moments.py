@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,10 @@ from treeshift import (
     two_sided_stieltjes_check,
 )
 from treeshift.moments import (
+    _finite_rank_consistent,
     _qd_positive,
+    _qd_stop,
+    _symmetric_det,
     _witness_from_indices,
     det_exact,
     hankel_matrix,
@@ -400,3 +404,143 @@ def test_symmetric_schur_update_matches_full_update(values, offset):
     size = (len(values) - offset + 1) // 2
     matrix = hankel_matrix(values, offset, size)
     assert psd_violation_exact(matrix) == _full_schur_violation(matrix)
+
+
+# -- finite-rank proofs, diagonal-first exits, window rhombus, symmetric determinant --
+
+
+@st.composite
+def finite_rank_prefixes(draw):
+    """Moments t_0..t_N of a measure with 1..N//2 atoms, perhaps one at 0, and that prefix
+    with one entry past the first 2 * atoms nudged up or down (or None)."""
+    N = draw(st.integers(min_value=2, max_value=14))
+    rank = draw(st.integers(1, N // 2))
+    where = draw(st.lists(quarters(1, 20), min_size=rank, max_size=rank, unique=True))
+    if draw(st.booleans()):
+        where[0] = Fraction(0)
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    t = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(N + 1)]
+    nudged = None
+    if 2 * rank <= N and draw(st.booleans()):
+        nudged = list(t)
+        i = draw(st.integers(2 * rank, N))
+        nudged[i] = max(Fraction(0), nudged[i] + Fraction(draw(st.sampled_from((-3, -1, 1, 3))), 64))
+    return t, nudged
+
+
+@given(finite_rank_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_finite_rank_proof_matches_elimination(case):
+    t, nudged = case
+    # an exact atomic prefix is proven by the terminating S-fraction and its recurrence
+    stop = _qd_stop(t)
+    assert stop is not None and stop[1] == 0
+    assert _finite_rank_consistent(t, stop[0])
+    assert stieltjes_check(t).kind == "consistent"
+    assert _eliminate_both_forms(t) is None
+    if nudged is not None:
+        verdict = stieltjes_check(nudged)
+        witness = _eliminate_both_forms(tuple(nudged))
+        assert verdict.kind == ("violated" if witness else "consistent")
+        assert verdict.witness == witness
+
+
+def small_symmetric_matrices(max_size=6):
+    """Symmetric matrices of small rationals, with many zeros (zero diagonals included)."""
+    entry = st.one_of(st.just(Fraction(0)), quarters(-8, 8))
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
+            lambda upper, n=n: _symmetric_from_upper(n, upper)))
+
+
+def _symmetric_from_upper(n, upper):
+    a = [[None] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = next(it)
+    return a
+
+
+@given(small_symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_diagonal_first_exit_matches_full_steps(matrix):
+    assert psd_violation_exact(matrix) == _full_schur_violation(matrix)
+
+
+@st.composite
+def full_rank_windows(draw):
+    """t_{-W}..t_N of a measure with more atoms than the window resolves (or fewer),
+    one entry possibly rescaled, and a K in 0..W."""
+    W = draw(st.integers(0, 5))
+    N = draw(st.integers(0, 8))
+    rank = draw(st.integers(1, 10))
+    where = draw(st.lists(quarters(1, 24), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    values = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(-W, N + 1)]
+    i = draw(st.integers(0, W + N))
+    values[i] *= draw(st.sampled_from((Fraction(1), Fraction(1), Fraction(1, 3), Fraction(3, 2))))
+    return TwoSidedMomentSequence(-W, tuple(values)), draw(st.integers(0, W))
+
+
+@given(full_rank_windows())
+@settings(max_examples=150, deadline=None)
+def test_window_rhombus_matches_per_shift_loop(case):
+    ts, K = case
+    verdict = two_sided_stieltjes_check(ts, K)
+    for k in range(K + 1):
+        one = stieltjes_check(ts.shifted(k))
+        witness = _eliminate_both_forms(ts.shifted(k).values, shift=k)
+        assert one.witness == (None if witness is None else replace(witness, two_sided_shift=None))
+        if witness is not None:
+            break
+    assert verdict.witness == witness
+    assert verdict.kind == ("violated" if witness else "consistent")
+    assert verdict.shifts_checked == tuple(range(k + 1))
+
+
+def test_window_rhombus_decides_a_positive_definite_window():
+    # Beta(13, 2) moments on [0, 1] with their negative moments down to t_{-10}:
+    # every shift is positive definite, so the one pass over (t_{-10}, ...) decides the window
+    p, q = Fraction(13), Fraction(2)
+    values = [Fraction(1)]
+    for k in range(30):
+        values.append(values[-1] * (p + k) / (p + q + k))
+    neg = [Fraction(1)]
+    for j in range(1, 11):
+        neg.append(neg[-1] * (p + q - j) / (p - j))
+    ts = TwoSidedMomentSequence(-10, tuple(neg[:0:-1] + values))
+    assert _qd_positive(ts.shifted(10).values)
+    verdict = two_sided_stieltjes_check(ts)
+    assert verdict.kind == "consistent"
+    assert verdict.shifts_checked == tuple(range(11))
+
+
+@given(small_symmetric_matrices(max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_symmetric_det_matches_det_exact(matrix):
+    det = _symmetric_det(matrix)
+    assert det == det_exact(matrix)
+    try:
+        import sympy
+    except ImportError:
+        return
+    assert det == Fraction(str(sympy.Matrix(matrix).det(method="bareiss")))
+
+
+def test_symmetric_det_on_hankel_witnesses():
+    # the 1/(n+1) Hankel forms, with a zero leading pivot and a negative 2 x 2 minor
+    hilbert = hankel_matrix([Fraction(1, n + 1) for n in range(17)], 0, 9)
+    assert _symmetric_det(hilbert) == det_exact(hilbert) > 0
+    assert _symmetric_det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    assert _witness_from_indices("hankel", [[1, 2], [2, 1]], (0, 1)).det == -3
+
+
+def test_odd_stop_needs_a_recurrence_without_constant_term():
+    # the pass stops at t_3 = 0 (anti-diagonal 3); the order-2 recurrence through t_0..t_3
+    # holds trivially but has c_0 != 0, so it proves nothing, and the prefix is violated
+    t = [Fraction(9, 2), Fraction(9), Fraction(54), Fraction(0)]
+    assert _qd_stop(t) == (3, 0)
+    assert not _finite_rank_consistent(t, 3)
+    verdict = stieltjes_check(t)
+    assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
