@@ -776,6 +776,8 @@ def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
     aggregate is the window-bounded form of the subtree equivalence.
     """
     _require_nonnegative(k_max=k_max)
+    if k_max == 0:
+        raise ValueError("k_max must be at least 1, got 0")
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("reduction applies to rootless trees")

@@ -338,31 +338,38 @@ def _finite_rank_consistent(t, d: int) -> bool:
                for m in range(len(t) - k))
 
 
-def _symmetric_det(matrix) -> Fraction:
-    """Determinant of a symmetric matrix by elimination in index order.
+def _leading_pivots(matrix) -> list:
+    """Pivots of a symmetric matrix's elimination in index order, up to the first zero one.
 
     Each step divides the pivot row once and updates only the upper
-    triangle of the trailing block, about half the work of ``det_exact``;
-    a zero pivot hands the whole matrix to ``det_exact``, which pivots by
-    rows.  It shares no code with ``psd_violation_exact``, so it re-verifies
-    what that elimination found.
+    triangle of the trailing block.  The k-th pivot is det H_k / det H_(k-1)
+    for the leading k x k blocks H_k, so their count is the number of
+    leading blocks that are nonsingular.
     """
     a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
-    n = len(a)
-    det = ONE
-    for k in range(n):
-        row = a[k]
+    pivots = []
+    for k, row in enumerate(a):
         piv = row[k]
         if piv == 0:
-            return det_exact(matrix)
-        det *= piv
+            break
+        pivots.append(piv)
         scaled = [x / piv for x in row[k + 1:]]
-        for i in range(k + 1, n):
+        for i in range(k + 1, len(a)):
             x = row[i]
             if x:
-                rest = a[i]
-                rest[i:] = [y - x * s for y, s in zip(rest[i:], scaled[i - k - 1:])]
-    return det
+                a[i][i:] = [y - x * s for y, s in zip(a[i][i:], scaled[i - k - 1:])]
+    return pivots
+
+
+def _symmetric_det(matrix) -> Fraction:
+    """Determinant of a symmetric matrix from ``_leading_pivots``.
+
+    About half the work of ``det_exact``; a zero pivot hands the whole
+    matrix to ``det_exact``, which pivots by rows.  It shares no code with
+    ``psd_violation_exact``, so it re-verifies what that elimination found.
+    """
+    pivots = _leading_pivots(matrix)
+    return math.prod(pivots, start=ONE) if len(pivots) == len(matrix) else det_exact(matrix)
 
 
 def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
@@ -480,121 +487,126 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
 # -- atomic-measure recovery --------------------------------------------------
 
 
-# trial division enumerates the divisors of |a0|, |an| up to 10**10 and no further
-_MAX_TRIAL_DIVISIONS = 10 ** 5
-
-
-def _rational_root_candidates(a0: int, an: int, cap: int = 4000):
-    """Candidate roots p/q with p | a0 and q | an, both signs, lowest terms.
-
-    None when a coefficient is too large to trial-divide within
-    ``_MAX_TRIAL_DIVISIONS`` steps or has more than ``cap`` divisors.
-    """
-
-    def divisors(n: int):
-        n = abs(n)
-        if n == 0 or math.isqrt(n) > _MAX_TRIAL_DIVISIONS:
-            return None
-        out = []
-        for d in range(1, math.isqrt(n) + 1):
-            if n % d == 0:
-                out.append(d)
-                if d != n // d:
-                    out.append(n // d)
-                if len(out) > cap:
-                    return None
-        return sorted(out)
-
-    ps = divisors(a0)
-    qs = divisors(an)
-    if ps is None or qs is None or len(ps) * len(qs) > cap:
-        return None
-    cands = set()
-    for p in ps:
-        for q in qs:
-            if math.gcd(p, q) == 1:
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-    return sorted(cands)
-
-
 def _eval_int_poly(coeffs, p: int, q: int) -> int:
     """q**deg * poly(p/q) for an integer coefficient list (ascending)."""
-    deg = len(coeffs) - 1
-    total = 0
-    qpow = 1
-    for k in range(deg, -1, -1):
-        total = total * p + coeffs[k] * qpow
+    total, qpow = 0, 1
+    for c in reversed(coeffs):
+        total = total * p + c * qpow
         qpow *= q
     return total
 
 
-def _deflate(poly, root):
-    """Synthetic division of an ascending coefficient list by (x - root)."""
-    out = [ZERO] * (len(poly) - 1)
-    acc = ZERO
-    for k in range(len(poly) - 1, 0, -1):
-        acc = poly[k] + acc * root
-        out[k - 1] = acc
-    return out
+def _primitive(coeffs) -> list:
+    """Integer coefficients without trailing zeros, divided by their positive content."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    g = math.gcd(*coeffs) or 1
+    return [c // g for c in coeffs]
 
 
-def _float_root_hints(poly) -> list:
-    """Rational candidates reconstructed from floating roots, unverified."""
-    import numpy as np
+def _pseudo_divide(a, b):
+    """Integers (Q, R) with deg R < deg b and |b[-1]|**(deg a - deg b + 1) * a = Q * b + R."""
+    lc, n = b[-1], len(b) - 1
+    quo, rem = [], list(a)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = rem.pop()
+        quo = [abs(lc) * x for x in quo] + [c if lc > 0 else -c]
+        rem = [abs(lc) * x for x in rem]
+        for i in range(n):
+            rem[k + i] -= quo[-1] * b[i]
+    return quo[::-1], rem
 
-    try:
-        arr = np.array([float(c) for c in poly], dtype=float)
-        roots = np.polynomial.polynomial.polyroots(arr)
-    except Exception:
-        return []
-    hints = []
-    for r in roots:
-        if abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
-            continue
-        for den in (1, 10, 100, 10 ** 4, 10 ** 8):
-            hints.append(Fraction(r.real).limit_denominator(den))
-    return hints
+
+def _splits_mod(p, ell: int) -> bool:
+    """True when p mod the prime ell is a product of linear factors, as every product of q x - r is."""
+    p = _primitive([c % ell for c in p])
+    for x in range(ell):
+        while len(p) > 1 and _eval_int_poly(p, x, 1) % ell == 0:
+            p = _primitive([c % ell for c in _pseudo_divide(p, [-x, 1])[0]])
+    return len(p) == 1
+
+
+def _sturm_chain(p) -> list:
+    """Sturm sequence p, p', -rem(p, p'), ... in primitive integer terms, up to gcd(p, p')."""
+    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1 and any(rem := _pseudo_divide(chain[-2], chain[-1])[1]):
+        chain.append(_primitive([-x for x in rem]))
+    return chain
+
+
+def _isolated_rational_root(s, a: int, b: int, k: int) -> Optional[Fraction]:
+    """The only root of squarefree s in (a / 2**k, b / 2**k], if it is rational.
+
+    A rational root p/q of s has q | lead, and two such fractions are at
+    least 1 / lead**2 apart, so once the interval is narrower than
+    1 / (2 lead**2) the closest one to its midpoint is the only candidate.
+    Each step tries Newton's step from the right end on a grid 2**g times
+    finer, keeping the cell it lands in if s changes sign across it (g then
+    doubles: Abbott's quadratic interval refinement), and else bisects.
+    """
+    lead, slope = abs(s[-1]), [i * c for i, c in enumerate(s)][1:]
+    at_hi, g = _eval_int_poly(s, b, 1 << k), 1
+    while at_hi and 2 * lead * lead * (b - a) >= 1 << k:
+        d = _eval_int_poly(slope, b, 1 << k)
+        c = ((b * d - at_hi) << g) // d if d else b << g   # Newton's step from b, on the grid
+        if a << g <= c < b << g:
+            left, right = (_eval_int_poly(s, x, 1 << (k + g)) for x in (c, c + 1))
+            if right == 0 or left and (left > 0) != (at_hi > 0) == (right > 0):   # sign change
+                a, b, k, at_hi, g = c, c + 1, k + g, right, 2 * g
+                continue
+        mid, k, g = a + b, k + 1, 1
+        at_mid = _eval_int_poly(s, mid, 1 << k)
+        if at_mid == 0 or (at_mid > 0) == (at_hi > 0):
+            a, b, at_hi = 2 * a, mid, at_mid
+        else:
+            a, b = mid, 2 * b
+    cand = Fraction(a + b, 1 << (k + 1)).limit_denominator(lead) if at_hi else Fraction(b, 1 << k)
+    return cand if _eval_int_poly(s, cand.numerator, cand.denominator) == 0 else None
 
 
 def _rational_roots_monic(coeffs) -> Optional[list]:
-    """All roots of a monic rational polynomial, if it splits over Q.
+    """All roots of a monic rational polynomial, ascending with multiplicity, if it splits over Q.
 
-    ``coeffs`` is the full ascending list including the leading 1.  Candidate
-    roots come first from floating hints, then from the divisor enumeration
-    of the rational root theorem; every accepted root is verified exactly.
-    Returns None when the polynomial does not factor completely over Q (the
-    caller then falls back to validated floating recovery).
+    ``coeffs`` is the full ascending list including the leading 1.  The drop
+    in sign changes of the Sturm chain of the squarefree part s from lo to
+    hi counts its roots in (lo, hi], so bisecting the Cauchy bound at dyadic
+    points isolates each one for ``_isolated_rational_root``.  None means
+    a nonreal or irrational root (the caller then recovers in floating point).
     """
-    poly = [Fraction(c) for c in coeffs]
-    roots = []
-    while len(poly) > 1:
-        if poly[0] == 0:
-            roots.append(ZERO)
-            poly = poly[1:]
-            continue
-        denom_lcm = 1
-        for c in poly:
-            denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in poly]
-        root = None
-        for cand in _float_root_hints(poly):
-            if _eval_int_poly(ints, cand.numerator, cand.denominator) == 0:
-                root = cand
-                break
-        if root is None:
-            cands = _rational_root_candidates(ints[0], ints[-1])
-            if cands is None:
+    den = math.lcm(*(c.denominator for c in coeffs))
+    poly = _primitive([int(c * den) for c in coeffs])
+    # most kernels that do not split over Q already fail to split mod a small prime
+    if len(poly) > 2 and not all(_splits_mod(poly, ell) for ell in (17, 19, 23, 29)):
+        return None
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:   # repeated roots: the chain of p / gcd(p, p')
+        chain = _sturm_chain(_primitive(_pseudo_divide(poly, chain[-1])[0]))
+    s = chain[0]
+
+    def changes(p: int, k: int) -> int:
+        signs = [v > 0 for v in (_eval_int_poly(c, p, 1 << k) for c in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    e = (max(map(abs, s)) // abs(s[-1]) + 1).bit_length()   # |root| < 1 + max |s_i / lead|
+    lo, hi = changes(-1 << e, 0), changes(1 << e, 0)
+    if lo - hi < len(s) - 1:   # fewer real roots than the degree
+        return None
+    roots, stack = [], [(-1 << e, 1 << e, 0, lo, hi)]
+    while stack:   # left halves are popped first, so the roots come out ascending
+        a, b, k, va, vb = stack.pop()
+        if va - vb == 1:
+            roots.append(_isolated_rational_root(s, a, b, k))
+            if roots[-1] is None:
                 return None
-            for cand in cands:
-                if _eval_int_poly(ints, cand.numerator, cand.denominator) == 0:
-                    root = cand
-                    break
-        if root is None:
-            return None
-        roots.append(root)
-        poly = _deflate(poly, root)
-    return roots
+        elif va > vb:
+            vm = changes(a + b, k + 1)
+            stack += [(a + b, 2 * b, k + 1, vm, vb), (2 * a, a + b, k + 1, va, vm)]
+    out = []
+    for root in roots:   # keep multiplicities: repeated locations are rejected later
+        while len(poly) > 1 and _eval_int_poly(poly, root.numerator, root.denominator) == 0:
+            out.append(root)
+            poly = _primitive(_pseudo_divide(poly, [-root.numerator, root.denominator])[0])
+    return out
 
 
 def recover_atomic_measure(t, m: int, mode: str = "auto",
@@ -616,41 +628,26 @@ def recover_atomic_measure(t, m: int, mode: str = "auto",
     if arith == "exact":
         measure = _recover_exact(t, m)
     else:
-        measure = _recover_float(t, m, tol)
+        measure = _recover_float(t, m)
     _verify_recovery(t, m, measure, arith, tol)
     return measure
 
 
-def _hankel_rank(values, m: int, singular) -> int:
-    rank = 0
-    for k in range(1, m + 1):
-        h = hankel_matrix(values, 0, k)
-        if singular(h):
-            break
-        rank = k
-    return rank
-
-
 def _recover_exact(t: MomentSequence, m: int) -> AtomicMeasure:
     values = t.values
-    rank = _hankel_rank(values, m, lambda h: det_exact(h) == 0)
+    rank = len(_leading_pivots(hankel_matrix(values, 0, m)))
     if rank == 0:
         return AtomicMeasure(())
-    h = hankel_matrix(values, 0, rank)
-    rhs = [values[rank + j] for j in range(rank)]
-    c = solve_exact(h, rhs)
-    poly = [-ci for ci in c] + [ONE]
-    roots = _rational_roots_monic(poly)
+    c = solve_exact(hankel_matrix(values, 0, rank), values[rank:2 * rank])
+    roots = _rational_roots_monic([-ci for ci in c] + [ONE])
     if roots is None:
         # validated floating fallback; the final moment check guards it
-        return _recover_float(t.as_floats(), m, 1e-8, rank=rank)
+        return _recover_float(t, m, rank=rank)
     return _measure_from_roots(values, roots)
 
 
 def _measure_from_roots(values, roots) -> AtomicMeasure:
     for r in roots:
-        if isinstance(r, complex):
-            raise MeasureRecoveryError("nonreal_roots", f"location {r}")
         if r < 0:
             raise MeasureRecoveryError("negative_location", f"location {format_human(r)}")
     if len(set(roots)) != len(roots):
@@ -669,17 +666,18 @@ def _measure_from_roots(values, roots) -> AtomicMeasure:
     return AtomicMeasure.from_atoms(zip(roots, weights))
 
 
-def _recover_float(t: MomentSequence, m: int, tol: float, rank: Optional[int] = None) -> AtomicMeasure:
+def _recover_float(t: MomentSequence, m: int, rank: Optional[int] = None) -> AtomicMeasure:
     import numpy as np
 
     values = [float(v) for v in t.values]
     scale = max(abs(v) for v in values) or 1.0
     if rank is None:
-        def singular(h):
-            arr = np.array(h, dtype=float)
-            sv = np.linalg.svd(arr, compute_uv=False)
-            return sv[-1] <= 1e-10 * max(sv[0], scale)
-        rank = _hankel_rank(values, m, singular)
+        rank = 0
+        while rank < m:
+            sv = np.linalg.svd(np.array(hankel_matrix(values, 0, rank + 1)), compute_uv=False)
+            if sv[-1] <= 1e-10 * max(sv[0], scale):
+                break
+            rank += 1
     if rank == 0:
         return AtomicMeasure(())
     h = np.array(hankel_matrix(values, 0, rank), dtype=float)

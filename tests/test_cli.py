@@ -362,20 +362,30 @@ class TestNegativeOrders:
         self._rejects(capsys, "moments", "carleman", str(DATA / "a3_orbit.json"), "--upto", "-3",
                       name="number of terms")
 
+    def test_zero_kmax(self, capsys):
+        # k_max = 0 would certify the reduction without checking a single ancestor
+        code, out, err = run_cli(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: k_max must be at least 1, got 0")
+
 
 def test_exact_paths_do_not_load_numpy(tmp_path):
     import treeshift
 
     seq = _write(tmp_path, "seq.json", {"sequence": ["1", "2", "5", "14"]})
     a3 = _write(tmp_path, "a3.json", A3_DOC)
-    script = (
-        "import sys, treeshift.cli\n"
-        "assert 'numpy' not in sys.modules, 'import treeshift.cli loaded numpy'\n"
-        f"assert treeshift.cli.main(['moments', 'check', {seq!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'exact moments check loaded numpy'\n"
-        f"assert treeshift.cli.main(['certify', {a3!r}]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'exact certify loaded numpy'\n"
-    )
+    runs = [
+        (["moments", "check", seq], "exact moments check"),
+        (["moments", "recover", seq, "--atoms", "2"], "exact moments recover"),
+        (["certify", a3], "exact certify"),
+        (["certify", a3, "--necessary"], "exact certify --necessary"),
+        (["certify", str(DATA / "bilateral.json")], "exact bilateral certify"),
+    ]
+    script = "import sys, treeshift.cli\n" \
+             "assert 'numpy' not in sys.modules, 'import treeshift.cli loaded numpy'\n"
+    for argv, what in runs:
+        script += (f"assert treeshift.cli.main({argv!r}) == 0, {what!r}\n"
+                   f"assert 'numpy' not in sys.modules, '{what} loaded numpy'\n")
     src = str(Path(treeshift.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})

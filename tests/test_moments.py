@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeshift import (
@@ -29,8 +29,11 @@ from treeshift import (
 )
 from treeshift.moments import (
     _finite_rank_consistent,
+    _leading_pivots,
     _qd_positive,
     _qd_stop,
+    _rational_roots_monic,
+    _splits_mod,
     _symmetric_det,
     _witness_from_indices,
     det_exact,
@@ -183,8 +186,9 @@ class TestRecovery:
             assert rec.atoms == mu.atoms
 
     def test_large_prime_constant_term_is_bounded(self):
-        # kernel polynomial x^2 - a x + b with b = 10**24 + 7 and irrational roots:
-        # divisor enumeration of b would need 10**12 trial divisions
+        # kernel polynomial x^2 - a x + b with b = 10**24 + 7 and two irrational roots:
+        # divisor enumeration of b would need 10**12 trial divisions; the exact route
+        # gives up on the first root and leaves the measure to the floating fallback
         script = (
             "from fractions import Fraction as F\n"
             "from treeshift import MeasureRecoveryError, recover_atomic_measure\n"
@@ -193,7 +197,8 @@ class TestRecovery:
             "while len(t) < 6:\n"
             "    t.append(a * t[-1] - b * t[-2])\n"
             "try:\n"
-            "    print(len(recover_atomic_measure(t, 3).atoms))\n"
+            "    rec = recover_atomic_measure(t, 3)\n"
+            "    print(len(rec.atoms), 'exact' if rec.is_exact() else 'floating')\n"
             "except MeasureRecoveryError as exc:\n"
             "    print(exc.reason)\n"
         )
@@ -203,8 +208,24 @@ class TestRecovery:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, timeout=20, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() in {"2", "nonreal_roots", "negative_location",
-                                          "negative_mass", "rank_deficient"}
+        assert result.stdout.strip() == "2 floating"
+
+    def test_large_coefficient_roots_are_exact(self):
+        # the integer kernel polynomial (4 x - 5)(10**5 x - 10**11 - 3) has a constant term
+        # above 5 * 10**11, far past any divisor search, yet both roots are rational
+        mu = AtomicMeasure.from_atoms([("5/4", "1/4"), (Fraction(10 ** 11 + 3, 10 ** 5), "3/4")])
+        values = [moments_of(mu, n) for n in range(4)]
+        rec = recover_atomic_measure(values, 2)
+        assert rec.is_exact()
+        assert rec.atoms == mu.atoms
+
+    def test_repeated_location_is_rank_deficient(self):
+        # H_2 = [[1, 2], [2, 3]] is nonsingular, but the kernel polynomial is (x - 1)^2
+        assert _rational_roots_monic([Fraction(1), Fraction(-2), Fraction(1)]) == [1, 1]
+        with pytest.raises(MeasureRecoveryError) as exc:
+            recover_atomic_measure(seq(1, 2, 3, 4), 2)
+        assert exc.value.reason == "rank_deficient"
+        assert "repeated atom locations" in str(exc.value)
 
     def test_represent_checks_whole_prefix(self):
         mu = AtomicMeasure.from_atoms([(1, "1/2"), (4, "1/2")])
@@ -544,3 +565,64 @@ def test_odd_stop_needs_a_recurrence_without_constant_term():
     assert not _finite_rank_consistent(t, 3)
     verdict = stieltjes_check(t)
     assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
+
+
+# -- exact root isolation -----------------------------------------------------------
+
+
+def _poly_mul(p, q):
+    """Product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=1, max_size=6),
+       st.one_of(st.none(), st.tuples(st.integers(-12, 12), st.integers(-30, 30))))
+@settings(max_examples=200, deadline=None)
+def test_rational_roots_are_the_linear_factors(factors, quadratic):
+    roots = sorted(Fraction(p, q) for p, q in factors)
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, 1])
+    if quadratic is not None:   # times x^2 + b x + c, irreducible over Q
+        b, c = quadratic
+        disc = b * b - 4 * c
+        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+        poly = _poly_mul(poly, [c, b, 1])
+    assert _rational_roots_monic(poly) == (None if quadratic else roots)
+    try:
+        import sympy
+    except ImportError:
+        return
+    coeffs = [sympy.Rational(v.numerator, v.denominator) for v in reversed(poly)]
+    found = sympy.roots(sympy.Poly(coeffs, sympy.Symbol("x")), filter="Q")
+    assert sorted(Fraction(str(r)) for r, k in found.items() for _ in range(k)) == roots
+
+
+def test_splitting_mod_small_primes_is_not_enough():
+    # d = 1 + 2*3*5*...*29 is 1 mod each of those primes, so (x - 3/2)(x^2 - d) and
+    # (x - 3/2)(x^2 + d - 2) split mod every one of them, the ones the early exit tries
+    # included; only the Sturm chain tells that sqrt(d) is irrational and that the
+    # roots of x^2 + d - 2 are not real
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    d = 1 + math.prod(primes)
+    assert math.isqrt(d) ** 2 != d
+    for quadratic in ([-d, 0, 1], [d - 2, 0, 1]):
+        poly = _poly_mul([Fraction(-3, 2), 1], quadratic)
+        assert all(_splits_mod([int(2 * c) for c in poly], ell) for ell in primes)
+        assert _rational_roots_monic(poly) is None
+    poly = _poly_mul([Fraction(-3, 2), 1], [Fraction(-9, 4), 0, 1])
+    assert _rational_roots_monic(poly) == [Fraction(-3, 2), Fraction(3, 2), Fraction(3, 2)]
+    assert not _splits_mod([-2, 0, 1], 5)   # x^2 - 2 has no root mod 5
+
+
+@given(rational_prefixes())
+@settings(max_examples=200, deadline=None)
+def test_leading_pivot_count_is_the_hankel_rank(values):
+    size = (len(values) - 1) // 2 + 1
+    want = next((k for k in range(1, size + 1)
+                 if det_exact(hankel_matrix(values, 0, k)) == 0), size + 1) - 1
+    assert len(_leading_pivots(hankel_matrix(values, 0, size))) == want
