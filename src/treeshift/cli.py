@@ -145,6 +145,10 @@ def cmd_moments_recover(args) -> int:
     try:
         measure = recover_atomic_measure(t, args.atoms, mode=inst.mode)
     except MeasureRecoveryError as exc:
+        if exc.reason == "outside_float_range":
+            sys.stdout.write(f"a representing measure with <= {args.atoms} atoms exists "
+                             f"but lies outside float range: {exc}\n")
+            return 2
         sys.stdout.write(f"no nonnegative representing measure with <= {args.atoms} atoms: {exc}\n")
         return 1
     rendered = " + ".join(

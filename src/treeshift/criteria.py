@@ -721,7 +721,8 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
             return ck.report("necessary-conditions-determinate", params, notes,
                              verdict=Verdict.INCONCLUSIVE)
         desc = " + ".join(f"{format_human(w)}*d[{format_human(s)}]" for s, w in rec.atoms)
-        ck.flag(f"recover[{fe}]", True, f"recovered {desc}, reproducing the prefix exactly")
+        how = "exactly" if rec.is_exact() else "to floating-point tolerance"
+        ck.flag(f"recover[{fe}]", True, f"recovered {desc}, reproducing the prefix {how}")
         measures.append(rec)
 
     mixture_atoms = []

@@ -85,8 +85,10 @@ class WindowTooSmallError(TreeShiftError):
 class MeasureRecoveryError(TreeShiftError):
     """The sequence is not generated by an m-atomic nonnegative measure.
 
-    ``reason`` is one of "rank_deficient", "nonreal_roots", "negative_mass",
-    "negative_location".
+    ``reason`` is one of "rank_deficient", "negative_mass",
+    "negative_location", and in float mode also "nonreal_roots".  The one
+    exception is "outside_float_range": an exact prefix whose measure exists
+    but has a node or mass that floats cannot hold.
     """
 
     def __init__(self, reason, detail=""):

@@ -168,55 +168,28 @@ def hankel_matrix(values: Sequence[Scalar], offset: int, size: int):
     return [[values[i + j + offset] for j in range(size)] for i in range(size)]
 
 
-def _forward_eliminate(a) -> int:
-    """Gaussian elimination with partial pivoting on the rows ``a``, in place.
+def det_exact(matrix) -> Fraction:
+    """Determinant by fraction Gaussian elimination with partial pivoting.
 
-    Brings the leading square block to upper triangular form (entries below
-    the diagonal are left stale, never zeroed) and returns the sign of the
-    row permutation, or 0 when the block is singular.
+    Only the columns right of each pivot are updated; the entries below the
+    diagonal are left stale, never zeroed.
     """
-    n = len(a)
-    sign = 1
+    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
+    n, sign = len(a), 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot_row is None:
-            return 0
+            return ZERO
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             sign = -sign
         pivot = a[col]
         for r in range(col + 1, n):
             row = a[r]
-            if row[col] == 0:
-                continue
-            factor = row[col] / pivot[col]
-            a[r] = row[:col + 1] + [x - factor * y for x, y in zip(row[col + 1:], pivot[col + 1:])]
-    return sign
-
-
-def det_exact(matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
-    det = Fraction(_forward_eliminate(a))
-    if det:
-        for i in range(len(a)):
-            det *= a[i][i]
-    return det
-
-
-def solve_exact(matrix, rhs):
-    """Solve A x = b over Fractions; raises ValueError when singular."""
-    n = len(matrix)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if _forward_eliminate(a) == 0:
-        raise ValueError("singular system")
-    x = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = a[i][n]
-        for j in range(i + 1, n):
-            acc = acc - a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
+            if row[col]:
+                factor = row[col] / pivot[col]
+                a[r] = row[:col + 1] + [x - factor * y for x, y in zip(row[col + 1:], pivot[col + 1:])]
+    return math.prod((a[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
@@ -311,31 +284,57 @@ def _qd_positive(t) -> bool:
     return _qd_stop(t) is None
 
 
+def _chebyshev(t, n: int):
+    """Chebyshev's table of t_0..t_N up to row n, or to the first row with h_k <= 0.
+
+    With L(x^j) = t_j, row k lists sigma_{k,l} = L(pi_k x^l), l = k..N-k, for
+    the monic orthogonal polynomials pi_{k+1} = (x - alpha_k) pi_k - beta_k pi_{k-1}
+    of L (pi_0 = 1; sigma_{k,l} = 0 for l < k).  h_k = sigma_{k,k} = L(pi_k^2)
+    is det H_{k+1} / det H_k, the k-th pivot of (t_{i+j}).  Each row costs O(N)
+    (Gautschi 2004, section 2.1): sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l}
+    - beta_k sigma_{k-1,l}, alpha_k = sigma_{k,k+1} / h_k - sigma_{k-1,k} / h_{k-1},
+    beta_k = h_k / h_{k-1}.  Rows are kept fraction-free: rows[k] is the
+    primitive integer vector with sigma_{k,k+i} = rows[k][i] / dens[k], dens[k] > 0.
+    Returns (rows, dens, alpha, beta).
+    """
+    den = math.lcm(*(x.denominator for x in t))
+    # a row -1 of (1, 0, 0, ...) with scale 1 makes the first step the general one
+    rows, dens = [[1] + [0] * len(t), [int(x * den) for x in t]], [1, Fraction(den)]
+    alpha, beta = [], []
+    while len(rows) <= n + 1 and rows[-1][0] > 0:
+        v, u = rows[-2:]   # u0 v0 D_k sigma_{k+1,l} = u0 v0 u_{l+1} - (u1 v0 - v1 u0) u_l - u0^2 v_l
+        a, b, c = u[0] * v[0], u[1] * v[0] - v[1] * u[0], u[0] * u[0]
+        alpha.append(Fraction(b, a))
+        beta.append(Fraction(u[0], v[0]) * dens[-2] / dens[-1])
+        nxt = [a * y - b * x - c * z for x, y, z in zip(u[1:], u[2:], v[2:])]
+        g = math.gcd(*nxt) or 1
+        rows.append([x // g for x in nxt])
+        dens.append(a * dens[-1] / g)
+    return rows[1:], dens[1:], alpha, beta
+
+
 def _finite_rank_consistent(t, d: int) -> bool:
     """True when t_0..t_N, whose qd pass stopped at anti-diagonal d, is proven finite-rank PSD.
 
     Let k = ceil(d / 2).  The anti-diagonals before d are positive, so
-    c_1..c_{2k-2} > 0 make H_k = (t_{i+j})_{i,j<k} positive definite; solve
-    H_k c = (t_k, ..., t_{2k-1}) (2k - 1 <= d, inside the prefix).  If
-    t_{m+k} = sum_l c_l t_{m+l} holds for m = 0..N-k, then every row of
-    either form past row k - 1 is the same combination of the rows before
-    it (all entries involved are t_0..t_N), so (t_{i+j}) = P^T H_k P and
-    (t_{i+j+1}) = P^T H'_k P for one matrix P, with H'_k = (t_{i+j+1})_{i,j<k}.
+    c_1..c_{2k-2} > 0 make H_k = (t_{i+j})_{i,j<k} positive definite and
+    Chebyshev's table reaches row k.  With pi_k = x^k - sum_l c_l x^l,
+    sigma_{k,l} = 0 for l = k..N-k says t_{m+k} = sum_l c_l t_{m+l} for
+    m = 0..N-k: every row of either form past row k - 1 is the same
+    combination of the rows before it, so (t_{i+j}) = P^T H_k P and
+    (t_{i+j+1}) = P^T H'_k P for one P, with H'_k = (t_{i+j+1})_{i,j<k}.
     For d = 2k, c_{2k-1} > 0 too, so H'_k is positive definite and both
-    forms are PSD.  For d = 2k - 1 (the case of an atom at 0) only H'_{k-1}
-    is known positive definite; there c_0 = 0 is required, so t_{m+1} obeys
-    the order k - 1 recurrence with coefficients c_1..c_{k-1} and
-    (t_{i+j+1}) = Q^T H'_{k-1} Q is PSD as well.  Either way the prefix is
-    consistent.  False means "not proven".
+    forms are PSD.  For d = 2k - 1 (an atom at 0) only H'_{k-1} is known
+    positive definite; there c_0 = -pi_k(0) = 0 is required, so t_{m+1}
+    obeys the order k - 1 recurrence with c_1..c_{k-1} and
+    (t_{i+j+1}) = Q^T H'_{k-1} Q is PSD as well.  False means "not proven".
     """
     k = (d + 1) // 2
-    if k == 0:
-        return False
-    c = solve_exact(hankel_matrix(t, 0, k), t[k:2 * k])
-    if d % 2 and c[0] != 0:
-        return False
-    return all(t[m + k] == sum(x * y for x, y in zip(c, t[m:m + k]))
-               for m in range(len(t) - k))
+    rows, _, alpha, beta = _chebyshev(t, k)
+    at_zero = [ZERO, ONE]   # pi_{-1}(0), pi_0(0), ..., pi_k(0), needed for odd d only
+    for a, b in zip(alpha, beta) if d % 2 else ():
+        at_zero.append(-a * at_zero[-1] - b * at_zero[-2])
+    return len(rows) > k and not (d % 2 and at_zero[-1]) and not any(rows[k])
 
 
 def _leading_pivots(matrix) -> list:
@@ -496,57 +495,17 @@ def _eval_int_poly(coeffs, p: int, q: int) -> int:
     return total
 
 
-def _primitive(coeffs) -> list:
-    """Integer coefficients without trailing zeros, divided by their positive content."""
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    g = math.gcd(*coeffs) or 1
-    return [c // g for c in coeffs]
+def _narrow(s, a: int, b: int, k: int, scale: int) -> Tuple[int, int, int]:
+    """Shrink (a / 2**k, b / 2**k], which holds exactly one root of squarefree s, below 1 / scale.
 
-
-def _pseudo_divide(a, b):
-    """Integers (Q, R) with deg R < deg b and |b[-1]|**(deg a - deg b + 1) * a = Q * b + R."""
-    lc, n = b[-1], len(b) - 1
-    quo, rem = [], list(a)
-    for k in range(len(a) - 1 - n, -1, -1):
-        c = rem.pop()
-        quo = [abs(lc) * x for x in quo] + [c if lc > 0 else -c]
-        rem = [abs(lc) * x for x in rem]
-        for i in range(n):
-            rem[k + i] -= quo[-1] * b[i]
-    return quo[::-1], rem
-
-
-def _splits_mod(p, ell: int) -> bool:
-    """True when p mod the prime ell is a product of linear factors, as every product of q x - r is."""
-    p = _primitive([c % ell for c in p])
-    for x in range(ell):
-        while len(p) > 1 and _eval_int_poly(p, x, 1) % ell == 0:
-            p = _primitive([c % ell for c in _pseudo_divide(p, [-x, 1])[0]])
-    return len(p) == 1
-
-
-def _sturm_chain(p) -> list:
-    """Sturm sequence p, p', -rem(p, p'), ... in primitive integer terms, up to gcd(p, p')."""
-    chain = [p, _primitive([k * c for k, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1 and any(rem := _pseudo_divide(chain[-2], chain[-1])[1]):
-        chain.append(_primitive([-x for x in rem]))
-    return chain
-
-
-def _isolated_rational_root(s, a: int, b: int, k: int) -> Optional[Fraction]:
-    """The only root of squarefree s in (a / 2**k, b / 2**k], if it is rational.
-
-    A rational root p/q of s has q | lead, and two such fractions are at
-    least 1 / lead**2 apart, so once the interval is narrower than
-    1 / (2 lead**2) the closest one to its midpoint is the only candidate.
     Each step tries Newton's step from the right end on a grid 2**g times
     finer, keeping the cell it lands in if s changes sign across it (g then
-    doubles: Abbott's quadratic interval refinement), and else bisects.
+    doubles: Abbott's quadratic interval refinement), and else bisects.  It
+    stops early, with the root at the right end, when s vanishes there.
     """
-    lead, slope = abs(s[-1]), [i * c for i, c in enumerate(s)][1:]
+    slope = [i * c for i, c in enumerate(s)][1:]
     at_hi, g = _eval_int_poly(s, b, 1 << k), 1
-    while at_hi and 2 * lead * lead * (b - a) >= 1 << k:
+    while at_hi and scale * (b - a) >= 1 << k:
         d = _eval_int_poly(slope, b, 1 << k)
         c = ((b * d - at_hi) << g) // d if d else b << g   # Newton's step from b, on the grid
         if a << g <= c < b << g:
@@ -560,64 +519,85 @@ def _isolated_rational_root(s, a: int, b: int, k: int) -> Optional[Fraction]:
             a, b, at_hi = 2 * a, mid, at_mid
         else:
             a, b = mid, 2 * b
-    cand = Fraction(a + b, 1 << (k + 1)).limit_denominator(lead) if at_hi else Fraction(b, 1 << k)
-    return cand if _eval_int_poly(s, cand.numerator, cand.denominator) == 0 else None
+    return a, b, k
 
 
-def _rational_roots_monic(coeffs) -> Optional[list]:
-    """All roots of a monic rational polynomial, ascending with multiplicity, if it splits over Q.
+def _isolated_rational_root(s, a: int, b: int, k: int):
+    """The root of squarefree s isolated in (a / 2**k, b / 2**k] if rational, else None,
+    and the narrowed interval.
 
-    ``coeffs`` is the full ascending list including the leading 1.  The drop
-    in sign changes of the Sturm chain of the squarefree part s from lo to
-    hi counts its roots in (lo, hi], so bisecting the Cauchy bound at dyadic
-    points isolates each one for ``_isolated_rational_root``.  None means
-    a nonreal or irrational root (the caller then recovers in floating point).
+    A rational root p/q of s has q | lead, and two such fractions are at
+    least 1 / lead**2 apart, so once the interval is narrower than
+    1 / (2 lead**2) the closest one to its midpoint is the only candidate.
     """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    poly = _primitive([int(c * den) for c in coeffs])
-    # most kernels that do not split over Q already fail to split mod a small prime
-    if len(poly) > 2 and not all(_splits_mod(poly, ell) for ell in (17, 19, 23, 29)):
-        return None
-    chain = _sturm_chain(poly)
-    if len(chain[-1]) > 1:   # repeated roots: the chain of p / gcd(p, p')
-        chain = _sturm_chain(_primitive(_pseudo_divide(poly, chain[-1])[0]))
-    s = chain[0]
+    lead = abs(s[-1])
+    a, b, k = _narrow(s, a, b, k, 2 * lead * lead)
+    cand = Fraction(b, 1 << k)
+    if _eval_int_poly(s, b, 1 << k):
+        cand = Fraction(a + b, 1 << (k + 1)).limit_denominator(lead)
+    inside = a < cand * (1 << k) <= b and _eval_int_poly(s, cand.numerator, cand.denominator) == 0
+    return (cand if inside else None), (a, b, k)
 
-    def changes(p: int, k: int) -> int:
-        signs = [v > 0 for v in (_eval_int_poly(c, p, 1 << k) for c in chain) if v]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    e = (max(map(abs, s)) // abs(s[-1]) + 1).bit_length()   # |root| < 1 + max |s_i / lead|
-    lo, hi = changes(-1 << e, 0), changes(1 << e, 0)
-    if lo - hi < len(s) - 1:   # fewer real roots than the degree
-        return None
-    roots, stack = [], [(-1 << e, 1 << e, 0, lo, hi)]
-    while stack:   # left halves are popped first, so the roots come out ascending
-        a, b, k, va, vb = stack.pop()
-        if va - vb == 1:
-            roots.append(_isolated_rational_root(s, a, b, k))
-            if roots[-1] is None:
-                return None
-        elif va > vb:
-            vm = changes(a + b, k + 1)
-            stack += [(a + b, 2 * b, k + 1, vm, vb), (2 * a, a + b, k + 1, va, vm)]
-    out = []
-    for root in roots:   # keep multiplicities: repeated locations are rejected later
-        while len(poly) > 1 and _eval_int_poly(poly, root.numerator, root.denominator) == 0:
-            out.append(root)
-            poly = _primitive(_pseudo_divide(poly, [-root.numerator, root.denominator])[0])
-    return out
+def _sign_changes(vals) -> int:
+    signs = [v > 0 for v in vals if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _christoffel(chain, weights, scale: int, p: int, q: int) -> Tuple[int, int]:
+    """(num, den) with num / den = 1 / sum_{j<n} pi_j(p / q)**2 / h_j, the Christoffel number.
+
+    chain[j] is pi_j in primitive integer form, pi_j = chain[j] / chain[j][-1], and
+    weights[j] / scale = 1 / (chain[j][-1]**2 h_j), so the sum stays in integers.
+    """
+    n = len(weights)
+    total = sum(w * (_eval_int_poly(c, p, q) * q ** (n - 1 - j)) ** 2
+                for j, (c, w) in enumerate(zip(chain, weights)))
+    return scale * q ** (2 * n - 2), total
+
+
+def _as_float(num: int, den: int) -> float:
+    """num / den (den > 0) rounded to the nearest float, when that float is 0 or normal."""
+    scale = num.bit_length() - den.bit_length()   # 2**(scale-1) < |num / den| < 2**(scale+1)
+    if num and not -1021 <= scale <= 1022:
+        raise MeasureRecoveryError("outside_float_range",
+                                   f"a node or mass near 2**{scale} does not fit a float")
+    return num / den
+
+
+def _float_atom(chain, weights, scale: int, a: int, b: int, k: int) -> Tuple[float, float]:
+    """The nearest floats to the irrational node in (a / 2**k, b / 2**k] and to its mass.
+
+    The interval is narrowed below 2**-bits and its ends rounded out to that
+    grid, with bits doubling until both ends give the same floats; past ``limit``
+    (a mass halfway between two floats never settles) the right end decides.
+    """
+    s, bits = chain[-1], 64
+    limit = 1024 + 4 * max(map(abs, s)).bit_length()
+    while True:
+        a, b, k = _narrow(s, a, b, k, 1 << bits)
+        cut = max(k - bits, 0)
+        q = 1 << (k - cut)
+        lo, hi = ((_as_float(x, q), _as_float(*_christoffel(chain, weights, scale, x, q)))
+                  for x in (a >> cut, -(-b >> cut)))
+        if lo == hi or bits > limit:
+            return hi
+        bits *= 2
 
 
 def recover_atomic_measure(t, m: int, mode: str = "auto",
                            tol: float = 1e-8) -> AtomicMeasure:
     """Recover the unique measure with at most m atoms generating t_0..t_{2m-1}.
 
-    Rank detection on the leading Hankel minors picks the atom count m',
-    the degree-m' kernel polynomial supplies the locations, and a
-    Vandermonde solve supplies the masses.  Rejections (rank mismatch,
-    nonreal or negative locations, nonpositive masses) all mean the prefix
-    is not generated by an m-atomic nonnegative measure.
+    Exact mode decides on Chebyshev's table alone: an h_j < 0 (j < m) rules
+    out every positive measure ("negative_mass"); the rank is the first j
+    with h_j = 0, or m, and the measure sits on the zeros of pi_rank with the
+    Christoffel numbers as masses, so a zero below 0 ("negative_location",
+    by the sign changes of pi_rank..pi_0 at 0) or a nonzero sigma_{rank,l}
+    (a missed moment, "rank_deficient") rejects, and otherwise it exists.
+    Rational zeros give it exactly; else every atom is the nearest float,
+    or "outside_float_range" when floats cannot hold it.  Float mode fits
+    the kernel with numpy.  Either way every supplied moment is re-checked.
     """
     t = MomentSequence.coerce(t)
     if m < 1:
@@ -635,49 +615,66 @@ def recover_atomic_measure(t, m: int, mode: str = "auto",
 
 def _recover_exact(t: MomentSequence, m: int) -> AtomicMeasure:
     values = t.values
-    rank = len(_leading_pivots(hankel_matrix(values, 0, m)))
+    rows, dens, alpha, beta = _chebyshev(values, m)
+    rank = len(rows) - 1
+    if rank < m and rows[rank][0] < 0:
+        h = rows[rank][0] / dens[rank]
+        raise MeasureRecoveryError("negative_mass", f"h_{rank} = {format_human(h)} < 0")
+    chain, prev, poly = [[1]], [ZERO], [ONE]   # pi_0..pi_rank in primitive integer form
+    for a, b in zip(alpha, beta):
+        prev, poly = poly, [x - a * y - b * z for x, y, z in
+                            zip([ZERO] + poly, poly + [ZERO], prev + [ZERO, ZERO])]
+        den = math.lcm(*(c.denominator for c in poly))
+        ints = [int(c * den) for c in poly]
+        g = math.gcd(*ints)
+        chain.append([c // g for c in ints])
+    # pi_rank..pi_0 has V(x) sign changes at x, one per (real, simple) zero of pi_rank above x
+    below = rank - _sign_changes([c[0] for c in chain]) - (chain[-1][0] == 0)
+    if below:
+        raise MeasureRecoveryError("negative_location", f"{below} of {rank} locations below 0")
+    miss = next((i for i, x in enumerate(rows[rank]) if x), None)
+    if miss is not None:
+        n = 2 * rank + miss
+        raise MeasureRecoveryError(
+            "rank_deficient",
+            f"recovered moments disagree at order {n}: "
+            f"{format_human(values[n] - rows[rank][miss] / dens[rank])} vs {format_human(values[n])}",
+        )
     if rank == 0:
         return AtomicMeasure(())
-    c = solve_exact(hankel_matrix(values, 0, rank), values[rank:2 * rank])
-    roots = _rational_roots_monic([-ci for ci in c] + [ONE])
-    if roots is None:
-        # validated floating fallback; the final moment check guards it
-        return _recover_float(t, m, rank=rank)
-    return _measure_from_roots(values, roots)
+    weights = [d / (c[-1] ** 2 * row[0]) for c, row, d in zip(chain, rows[:rank], dens)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    s = chain[-1]   # its zeros are >= 0, so bisecting (-1, 2**e] by V isolates each one
+    e = (max(map(abs, s)) // s[-1] + 1).bit_length()   # |zero| < 1 + max |s_i / lead|
+    nodes, stack = [], [(-1, 1 << e, 0, rank, 0)]
+    while stack:   # left halves are popped first, so the nodes come out ascending
+        a, b, k, va, vb = stack.pop()
+        if va - vb == 1:
+            nodes.append(_isolated_rational_root(s, a, b, k))
+        elif va > vb:
+            vm = _sign_changes([_eval_int_poly(c, a + b, 1 << (k + 1)) for c in chain])
+            stack += [(a + b, 2 * b, k + 1, vm, vb), (2 * a, a + b, k + 1, va, vm)]
+    atoms = [x if x is None else (x, Fraction(*_christoffel(chain, weights, scale, x.numerator,
+                                                             x.denominator))) for x, _ in nodes]
+    if None not in atoms:
+        return AtomicMeasure.from_atoms(atoms)
+    return AtomicMeasure(tuple(
+        tuple(_as_float(v.numerator, v.denominator) for v in atom) if atom
+        else _float_atom(chain, weights, scale, *cell) for atom, (_, cell) in zip(atoms, nodes)))
 
 
-def _measure_from_roots(values, roots) -> AtomicMeasure:
-    for r in roots:
-        if r < 0:
-            raise MeasureRecoveryError("negative_location", f"location {format_human(r)}")
-    if len(set(roots)) != len(roots):
-        raise MeasureRecoveryError("rank_deficient", "repeated atom locations")
-    rank = len(roots)
-    vand = [[roots[j] ** i for j in range(rank)] for i in range(rank)]
-    try:
-        weights = solve_exact(vand, list(values[:rank]))
-    except ValueError as exc:
-        raise MeasureRecoveryError("rank_deficient", str(exc)) from exc
-    for r, w in zip(roots, weights):
-        if w <= 0:
-            raise MeasureRecoveryError(
-                "negative_mass", f"mass {format_human(w)} at {format_human(r)}"
-            )
-    return AtomicMeasure.from_atoms(zip(roots, weights))
-
-
-def _recover_float(t: MomentSequence, m: int, rank: Optional[int] = None) -> AtomicMeasure:
+def _recover_float(t: MomentSequence, m: int) -> AtomicMeasure:
     import numpy as np
 
     values = [float(v) for v in t.values]
     scale = max(abs(v) for v in values) or 1.0
-    if rank is None:
-        rank = 0
-        while rank < m:
-            sv = np.linalg.svd(np.array(hankel_matrix(values, 0, rank + 1)), compute_uv=False)
-            if sv[-1] <= 1e-10 * max(sv[0], scale):
-                break
-            rank += 1
+    rank = 0
+    while rank < m:
+        sv = np.linalg.svd(np.array(hankel_matrix(values, 0, rank + 1)), compute_uv=False)
+        if sv[-1] <= 1e-10 * max(sv[0], scale):
+            break
+        rank += 1
     if rank == 0:
         return AtomicMeasure(())
     h = np.array(hankel_matrix(values, 0, rank), dtype=float)
@@ -712,16 +709,18 @@ def _verify_recovery(t: MomentSequence, m: int, measure: AtomicMeasure,
                      arith: str, tol: float) -> None:
     # every supplied moment must be reproduced, not just the 2m used to fit;
     # extra entries are what expose an atom count beyond the bound
+    reason, exact, slack = "rank_deficient", arith == "exact" and measure.is_exact(), Fraction(tol)
+    if arith == "exact" and not exact:
+        # floats standing for a measure proven to exist: checked by their exact
+        # values (no moment overflows), and a miss is theirs
+        reason = "outside_float_range"
+        measure = AtomicMeasure(tuple((Fraction(s), Fraction(w)) for s, w in measure.atoms))
     for n in range(len(t.values)):
         got = measure.moment(n)
         want = t.values[n]
-        if arith == "exact" and measure.is_exact():
-            ok = got == want
-        else:
-            ok = abs(float(got) - float(want)) <= tol * max(1.0, abs(float(want)))
-        if not ok:
+        if not (got == want if exact else abs(got - want) <= slack * max(1, abs(want))):
             raise MeasureRecoveryError(
-                "rank_deficient",
+                reason,
                 f"recovered moments disagree at order {n}: {format_human(got)} vs {format_human(want)}",
             )
 

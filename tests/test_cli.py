@@ -177,6 +177,33 @@ class TestMoments:
         assert code == 1
         assert "no nonnegative representing measure" in out
 
+    def test_recover_past_float_range_nodes(self, capsys, tmp_path):
+        # H_2 is positive definite, so the 2-atom measure exists; its irrational nodes are
+        # about 1 and 10**40, and its mass at the far node about 10**-80, all within floats
+        path = _write(tmp_path, "far.json", {"sequence": ["1", "1", "2", str(10 ** 40)]})
+        code, out, _ = run_cli(capsys, "moments", "recover", path, "--atoms", "2")
+        assert code == 0
+        assert out.strip() == "1.0*delta[1.0] + 1e-80*delta[1e+40]"
+
+    def test_recover_outside_float_range_is_inconclusive(self, capsys, tmp_path):
+        # the same with 10**400: the measure exists, but a node near 10**400 is no float
+        path = _write(tmp_path, "huge.json", {"sequence": ["1", "1", "2", str(10 ** 400)]})
+        code, out, err = run_cli(capsys, "moments", "recover", path, "--atoms", "2")
+        assert code == 2
+        assert out.startswith("a representing measure with <= 2 atoms exists but lies outside float range")
+        assert err == ""
+
+    def test_certify_chain_outside_float_range(self, capsys, tmp_path):
+        # the edge chain whose orbit norms at 0 are (1, 1, 2, 10**400): the measure is not
+        # exhibited, so the certificate stays order-limited
+        doc = {"tree": {"kind": "edges", "edges": [[0, 1], [1, 2], [2, 3]]},
+               "weights": {"map": {"1": {"sq": "1/1"}, "2": {"sq": "2/1"},
+                                   "3": {"sq": f"{10 ** 400 // 2}/1"}}}}
+        code, out, _ = run_cli(capsys, "certify", _write(tmp_path, "huge-chain.json", doc),
+                               "--depth", "3", "--m-max", "2")
+        assert code == 0
+        assert "no representing measure with <= 2 atoms; consistency up to order 3 only" in out
+
     def test_carleman_all_ones(self, capsys, tmp_path):
         path = tmp_path / "ones.json"
         path.write_text(json.dumps({"sequence": ["1"] * 51}), encoding="utf-8")
@@ -373,10 +400,13 @@ def test_exact_paths_do_not_load_numpy(tmp_path):
     import treeshift
 
     seq = _write(tmp_path, "seq.json", {"sequence": ["1", "2", "5", "14"]})
+    # the 20-point Gauss-Legendre rule on [0, 1]: irrational nodes, float atoms
+    legendre = _write(tmp_path, "legendre.json", {"sequence": [f"1/{n + 1}" for n in range(40)]})
     a3 = _write(tmp_path, "a3.json", A3_DOC)
     runs = [
         (["moments", "check", seq], "exact moments check"),
         (["moments", "recover", seq, "--atoms", "2"], "exact moments recover"),
+        (["moments", "recover", legendre, "--atoms", "20"], "exact moments recover with irrational nodes"),
         (["certify", a3], "exact certify"),
         (["certify", a3, "--necessary"], "exact certify --necessary"),
         (["certify", str(DATA / "bilateral.json")], "exact bilateral certify"),

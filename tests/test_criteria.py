@@ -348,6 +348,24 @@ class TestNecessaryPipeline:
         assert report.verdict == Verdict.VIOLATED
         assert not check_map(report)["widly1p"].passed
 
+    def test_float_recovery_is_not_called_exact(self):
+        # ray 1 carries the rational moments t_n of 1/2 delta[13 - sqrt 2] + 1/2 delta[13 + sqrt 2]
+        # as squared weights t_{j-1} / t_{j-2}: its measure comes back as float atoms
+        t = [Fraction(1), Fraction(13)]
+        while len(t) < 40:
+            t.append(26 * t[-1] - 167 * t[-2])
+
+        def sq(v):
+            i, j = v
+            return HALF if j == 1 else t[j - 1] / t[j - 2] if i == 1 else Fraction(1)
+
+        shift = WeightedShift(make_tree_eta_kappa(2, 0), WeightSystem.from_rule(sq))
+        report = necessary_checks_determinate(shift, N=10, m_max=2)
+        cm = check_map(report)
+        assert cm["recover[(1,1)]"].passed
+        assert "reproducing the prefix to floating-point tolerance" in cm["recover[(1,1)]"].note
+        assert cm["recover[(2,1)]"].note.endswith("reproducing the prefix exactly")
+
     def test_unrecoverable_branch_inconclusive(self):
         mu3 = AtomicMeasure.from_atoms([(1, "1/3"), (2, "1/3"), (3, "1/3")])
         shift = make_branch_shift(2, 0, [mu3, DELTA1], [HALF, HALF])

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -32,8 +33,6 @@ from treeshift.moments import (
     _leading_pivots,
     _qd_positive,
     _qd_stop,
-    _rational_roots_monic,
-    _splits_mod,
     _symmetric_det,
     _witness_from_indices,
     det_exact,
@@ -150,9 +149,11 @@ class TestRecovery:
         assert m.atoms == DELTA1.atoms
 
     def test_no_representing_measure(self):
+        # H_2 = [[1, 2], [2, 1]] is indefinite: its second pivot is h_1 = 1 - 4
         with pytest.raises(MeasureRecoveryError) as exc:
             recover_atomic_measure(seq(1, 2, 1, 2), 2)
-        assert exc.value.reason == "negative_location"
+        assert exc.value.reason == "negative_mass"
+        assert "h_1 = -3 < 0" in str(exc.value)
 
     def test_three_atoms_with_bound_two(self):
         mu = AtomicMeasure.from_atoms([(1, "1/3"), (2, "1/3"), (3, "1/3")])
@@ -188,7 +189,7 @@ class TestRecovery:
     def test_large_prime_constant_term_is_bounded(self):
         # kernel polynomial x^2 - a x + b with b = 10**24 + 7 and two irrational roots:
         # divisor enumeration of b would need 10**12 trial divisions; the exact route
-        # gives up on the first root and leaves the measure to the floating fallback
+        # proves the measure and rounds both atoms to floats
         script = (
             "from fractions import Fraction as F\n"
             "from treeshift import MeasureRecoveryError, recover_atomic_measure\n"
@@ -220,12 +221,34 @@ class TestRecovery:
         assert rec.atoms == mu.atoms
 
     def test_repeated_location_is_rank_deficient(self):
-        # H_2 = [[1, 2], [2, 3]] is nonsingular, but the kernel polynomial is (x - 1)^2
-        assert _rational_roots_monic([Fraction(1), Fraction(-2), Fraction(1)]) == [1, 1]
+        # the kernel polynomial of H_2 = [[1, 2], [2, 3]] is (x - 1)^2, a repeated location;
+        # H_2 is nonsingular but indefinite (h_1 = 3 - 4), which already rules out every measure
         with pytest.raises(MeasureRecoveryError) as exc:
             recover_atomic_measure(seq(1, 2, 3, 4), 2)
+        assert exc.value.reason == "negative_mass"
+        assert "h_1 = -1 < 0" in str(exc.value)
+
+    def test_gauss_legendre_prefixes(self):
+        # t_n = 1/(n+1) for n < 2 count are the moments of the count-point Gauss-Legendre
+        # rule on [0, 1]: positive masses at irrational nodes in (0, 1)
+        import numpy as np
+
+        for count in (20, 30):
+            rec = recover_atomic_measure([Fraction(1, n + 1) for n in range(2 * count)], count)
+            nodes, weights = np.polynomial.legendre.leggauss(count)
+            assert len(rec.atoms) == count and not rec.is_exact()
+            for (x, w), wx, ww in zip(rec.atoms, (nodes + 1) / 2, weights / 2):
+                assert abs(x - wx) <= 1e-12 and abs(w - ww) <= 1e-12
+
+    def test_five_atoms_with_bound_four(self):
+        mu = AtomicMeasure.from_atoms([("2/5", 3), ("3/2", "3/4"), ("16/7", "1/2"),
+                                       ("28/3", "3/4"), (39, 4)])
+        values = [moments_of(mu, n) for n in range(12)]
+        with pytest.raises(MeasureRecoveryError) as exc:
+            recover_atomic_measure(values, 4)
         assert exc.value.reason == "rank_deficient"
-        assert "repeated atom locations" in str(exc.value)
+        assert "disagree at order 8" in str(exc.value)
+        assert represent(values, 4) is None
 
     def test_represent_checks_whole_prefix(self):
         mu = AtomicMeasure.from_atoms([(1, "1/2"), (4, "1/2")])
@@ -289,19 +312,14 @@ def test_violation_is_stable_under_extension(values):
 @given(st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_det_and_solve_agree_by_cramers_rule(n, rnd):
-    from treeshift.moments import det_exact, solve_exact
-
     a = [[Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
     b = [Fraction(rnd.randint(-4, 4)) for _ in range(n)]
     det = det_exact(a)
     if det == 0:
-        with pytest.raises(ValueError):
-            solve_exact(a, b)
         return
-    x = solve_exact(a, b)
-    for i in range(n):
-        a_i = [row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]
-        assert x[i] == det_exact(a_i) / det
+    # Cramer's rule with det_exact solves A x = b
+    x = [det_exact([row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]) / det for i in range(n)]
+    assert [sum(aij * xj for aij, xj in zip(row, x)) for row in a] == b
 
 
 # -- the quotient-difference pass against the elimination ----------------------------
@@ -567,56 +585,184 @@ def test_odd_stop_needs_a_recurrence_without_constant_term():
     assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
 
 
-# -- exact root isolation -----------------------------------------------------------
+# -- atomic recovery on Chebyshev's table ----------------------------------------------
 
 
-def _poly_mul(p, q):
-    """Product of two ascending coefficient lists."""
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _pair_moments(b, c, n):
+    """r^j + r'^j for j < n, where r and r' are the roots of x^2 + b x + c (Newton's identities)."""
+    p = [Fraction(2), Fraction(-b)]
+    while len(p) < n:
+        p.append(-b * p[-1] - c * p[-2])
+    return p[:n]
 
 
-@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=1, max_size=6),
-       st.one_of(st.none(), st.tuples(st.integers(-12, 12), st.integers(-30, 30))))
-@settings(max_examples=200, deadline=None)
-def test_rational_roots_are_the_linear_factors(factors, quadratic):
-    roots = sorted(Fraction(p, q) for p, q in factors)
-    poly = [Fraction(1)]
-    for r in roots:
-        poly = _poly_mul(poly, [-r, 1])
-    if quadratic is not None:   # times x^2 + b x + c, irreducible over Q
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 40)), min_size=1, max_size=5),
+       st.one_of(st.none(), st.tuples(st.integers(-30, -1), st.integers(1, 200))),
+       st.lists(eighths, min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_are_the_linear_factors(factors, quadratic, mass):
+    # atoms at rational nodes come back exactly; a Gauss pair (mass 1/2 each) at the
+    # positive roots of an irreducible x^2 + b x + c makes every atom the nearest float
+    nodes = sorted({Fraction(p, q) for p, q in factors})
+    atoms = list(zip(nodes, mass))
+    m = len(atoms) + (2 if quadratic else 0)
+    t = [sum(w * x ** n for x, w in atoms) for n in range(2 * m + 2)]
+    if quadratic is not None:
         b, c = quadratic
         disc = b * b - 4 * c
-        assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
-        poly = _poly_mul(poly, [c, b, 1])
-    assert _rational_roots_monic(poly) == (None if quadratic else roots)
+        assume(disc > 0 and math.isqrt(disc) ** 2 != disc)
+        t = [x + y / 2 for x, y in zip(t, _pair_moments(b, c, len(t)))]
+        hi = (-b + math.sqrt(disc)) / 2
+        atoms += [(c / hi, 0.5), (hi, 0.5)]   # c / hi: the smaller root without cancellation
+    rec = recover_atomic_measure(t, m)
+    if quadratic is None:
+        assert rec.atoms == tuple(atoms)
+    else:
+        assert not rec.is_exact()
+        want = sorted((float(x), float(w)) for x, w in atoms)
+        assert len(rec.atoms) == len(want)
+        for (x, w), (wx, ww) in zip(rec.atoms, want):
+            assert math.isclose(x, wx, rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(w, ww, rel_tol=1e-12)
     try:
         import sympy
     except ImportError:
         return
-    coeffs = [sympy.Rational(v.numerator, v.denominator) for v in reversed(poly)]
-    found = sympy.roots(sympy.Poly(coeffs, sympy.Symbol("x")), filter="Q")
-    assert sorted(Fraction(str(r)) for r, k in found.items() for _ in range(k)) == roots
+    x = sympy.Symbol("x")
+    poly = sympy.prod([x - sympy.Rational(r.numerator, r.denominator) for r in nodes])
+    if quadratic is not None:
+        poly *= x ** 2 + b * x + c
+    found = sympy.Poly(poly, x).real_roots()
+    assert [float(r) for r in found] == pytest.approx([float(s) for s, _ in rec.atoms],
+                                                      rel=1e-12, abs=1e-12)
 
 
 def test_splitting_mod_small_primes_is_not_enough():
-    # d = 1 + 2*3*5*...*29 is 1 mod each of those primes, so (x - 3/2)(x^2 - d) and
-    # (x - 3/2)(x^2 + d - 2) split mod every one of them, the ones the early exit tries
-    # included; only the Sturm chain tells that sqrt(d) is irrational and that the
-    # roots of x^2 + d - 2 are not real
+    # d = 1 + 2*3*5*...*29 is 1 mod each of those primes, so x^2 - d splits mod every one
+    # of them, yet sqrt(d) is irrational: only exact facts decide these prefixes
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     d = 1 + math.prod(primes)
     assert math.isqrt(d) ** 2 != d
-    for quadratic in ([-d, 0, 1], [d - 2, 0, 1]):
-        poly = _poly_mul([Fraction(-3, 2), 1], quadratic)
-        assert all(_splits_mod([int(2 * c) for c in poly], ell) for ell in primes)
-        assert _rational_roots_monic(poly) is None
-    poly = _poly_mul([Fraction(-3, 2), 1], [Fraction(-9, 4), 0, 1])
-    assert _rational_roots_monic(poly) == [Fraction(-3, 2), Fraction(3, 2), Fraction(3, 2)]
-    assert not _splits_mod([-2, 0, 1], 5)   # x^2 - 2 has no root mod 5
+    # 3/2 (mass 1/2) and a Gauss pair at a +- sqrt(d) > 0 (mass 1/4 each): float atoms
+    a = math.isqrt(d) + 1
+    pair = _pair_moments(-2 * a, a * a - d, 8)
+    rec = recover_atomic_measure([Fraction(3, 2) ** n / 2 + p / 4 for n, p in enumerate(pair)], 3)
+    assert not rec.is_exact()
+    want = [((a * a - d) / (a + math.sqrt(d)), 0.25), (1.5, 0.5), (a + math.sqrt(d), 0.25)]
+    assert [float(v) for atom in rec.atoms for v in atom] == pytest.approx(
+        [v for atom in want for v in atom], rel=1e-12)
+    # the pair at -sqrt(d) and sqrt(d) instead: one node is proven to lie below 0
+    pair = _pair_moments(0, -d, 8)
+    with pytest.raises(MeasureRecoveryError) as exc:
+        recover_atomic_measure([Fraction(3, 2) ** n / 2 + p / 4 for n, p in enumerate(pair)], 3)
+    assert exc.value.reason == "negative_location"
+    assert "1 of 3 locations below 0" in str(exc.value)
+
+
+def test_mass_halfway_between_two_floats_settles():
+    # masses 1/2 + 2**-54 at 13 -+ sqrt(2) lie exactly halfway between two floats, so the ends
+    # of a node's interval never round to one mass; past the bit limit the right end decides
+    mass = Fraction(1, 2) + Fraction(1, 2 ** 54)
+    rec = recover_atomic_measure([mass * p for p in _pair_moments(-26, 167, 4)], 2)
+    assert [x for x, _ in rec.atoms] == pytest.approx([13 - math.sqrt(2), 13 + math.sqrt(2)], rel=1e-15)
+    assert {w for _, w in rec.atoms} <= {0.5, 0.5 + 2 ** -53}
+
+
+def _cramer(a, b):
+    det = det_exact(a)
+    return [det_exact([row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]) / det
+            for i in range(len(a))]
+
+
+def _replaced_recovery(t, m):
+    """The exact route the table replaced, with exact roots: ("exact", atoms),
+    ("float", None) for an accepted measure with an irrational node, or ("reject", reason).
+
+    The rank is the number of leading minors of H_m with det_exact != 0; the kernel
+    coefficients c solve H_rank c = (t_rank, ..., t_{2 rank - 1}); sympy finds the
+    kernel's roots; rational roots get masses from the Vandermonde system, and the
+    measure must reproduce every moment, which for irrational roots is the kernel
+    recurrence t_{j + rank} = sum_l c_l t_{j + l}.
+    """
+    import sympy
+
+    rank = next((k for k in range(m) if det_exact(hankel_matrix(t, 0, k + 1)) == 0), m)
+    if rank == 0:
+        return ("reject", "rank_deficient") if any(t) else ("exact", ())
+    c = _cramer(hankel_matrix(t, 0, rank), t[rank:2 * rank])
+    x = sympy.Symbol("x")
+    kernel = sympy.Poly([1] + [-sympy.Rational(ci.numerator, ci.denominator) for ci in reversed(c)], x)
+    roots = kernel.all_roots()
+    if all(r.is_rational for r in roots):
+        roots = sorted(Fraction(int(r.p), int(r.q)) for r in roots)
+        if roots[0] < 0:
+            return "reject", "negative_location"
+        if len(set(roots)) < rank:
+            return "reject", "rank_deficient"
+        masses = _cramer([[r ** i for r in roots] for i in range(rank)], list(t[:rank]))
+        if min(masses) <= 0:
+            return "reject", "negative_mass"
+        if any(sum(w * r ** n for r, w in zip(roots, masses)) != t[n] for n in range(len(t))):
+            return "reject", "rank_deficient"
+        return "exact", tuple(zip(roots, masses))
+    if not all(r.is_real for r in roots):
+        return "reject", "nonreal_roots"
+    if any(r < 0 for r in roots):
+        return "reject", "negative_location"
+    if any(t[j + rank] != sum(cl * tl for cl, tl in zip(c, t[j:j + rank]))
+           for j in range(len(t) - rank)):
+        return "reject", "rank_deficient"
+    return "float", None
+
+
+@st.composite
+def recovery_cases(draw):
+    """(t_0..t_N, m): moments of up to m + 1 atoms (one may lie below 0), perhaps with a
+    Gauss pair at a +- sqrt(b), perhaps with one entry nudged, or arbitrary entries."""
+    m = draw(st.integers(1, 4))
+    N = draw(st.integers(2 * m - 1, 2 * m + 3))
+    shape = draw(st.sampled_from(("atomic", "nudged", "pair", "arbitrary")))
+    if shape == "arbitrary":
+        return draw(st.lists(quarters(0, 20), min_size=N + 1, max_size=N + 1)), m
+    rank = draw(st.integers(1, m + 1))
+    where = draw(st.lists(quarters(-4, 24), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    t = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(N + 1)]
+    if shape == "pair":
+        a, b = draw(st.integers(1, 12)), draw(st.sampled_from((2, 3, 5, 6, 7)))
+        t = [x + y / 2 for x, y in zip(t, _pair_moments(-2 * a, a * a - b, N + 1))]
+    if shape == "nudged":
+        i = draw(st.integers(0, N))
+        t[i] += Fraction(draw(st.sampled_from((-3, -1, 1, 3))), 64)
+    assume(min(t) >= 0)
+    return t, m
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="the reference needs sympy")
+@given(recovery_cases())
+@settings(max_examples=300, deadline=None)
+def test_table_recovery_matches_the_replaced_route(case):
+    t, m = case
+    try:
+        got = recover_atomic_measure(t, m)
+    except MeasureRecoveryError as exc:
+        got = exc
+    minors = [Fraction(1)] + [det_exact(hankel_matrix(t, 0, k)) for k in range(1, m + 1)]
+    j = next((k for k in range(m) if minors[k + 1] <= 0), None)
+    if j is not None and minors[j + 1] < 0:
+        # h_j = det H_{j+1} / det H_j < 0 after positive ones: no positive measure at all
+        assert isinstance(got, MeasureRecoveryError) and got.reason == "negative_mass"
+        assert f"h_{j} = {minors[j + 1] / minors[j]} < 0" in str(got)
+        return
+    # otherwise H_rank is positive definite, and both routes decide alike
+    kind, ref = _replaced_recovery(t, m)
+    if kind == "reject":
+        assert isinstance(got, MeasureRecoveryError) and got.reason == ref
+    else:
+        assert not isinstance(got, Exception), got
+        assert got.is_exact() == (kind == "exact")
+        if kind == "exact":
+            assert got.atoms == ref
 
 
 @given(rational_prefixes())
