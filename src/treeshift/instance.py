@@ -39,12 +39,17 @@ def _expect_mapping(doc, path: str) -> dict:
     return doc
 
 
-def _rational(value, path: str, as_float: bool):
+def _rational(value, path: str, as_float: bool, name: str = ""):
     try:
         q = parse_rational(value)
     except RationalParseError as exc:
         _fail(path, str(exc))
-    return float(q) if as_float else q
+    if not as_float:
+        return q
+    try:
+        return float(q)
+    except OverflowError:
+        raise ValueError(f"{f'{name} ({path})' if name else path} does not fit a float") from None
 
 
 def parse_measure(doc, path: str, as_float: bool = False) -> AtomicMeasure:
@@ -193,7 +198,7 @@ def parse_instance(doc: dict, mode_override: Optional[str] = None) -> Instance:
         seq = doc["sequence"]
         if not isinstance(seq, list) or not seq:
             _fail("$.sequence", "expected a nonempty list of rationals")
-        values = [_rational(v, f"$.sequence[{i}]", as_float) for i, v in enumerate(seq)]
+        values = [_rational(v, f"$.sequence[{i}]", as_float, f"t_{i}") for i, v in enumerate(seq)]
         try:
             inst.sequence = MomentSequence.coerce(values, origin="document sequence")
         except Exception as exc:
@@ -207,7 +212,8 @@ def parse_instance(doc: dict, mode_override: Optional[str] = None) -> Instance:
             _fail("$.two_sided.lo", "expected an integer <= 0")
         if not isinstance(vals, list) or not vals:
             _fail("$.two_sided.values", "expected a nonempty list of rationals")
-        values = [_rational(v, f"$.two_sided.values[{i}]", as_float) for i, v in enumerate(vals)]
+        values = [_rational(v, f"$.two_sided.values[{i}]", as_float, f"t_{lo + i}")
+                  for i, v in enumerate(vals)]
         try:
             inst.two_sided = TwoSidedMomentSequence(lo, tuple(values), origin="document sequence")
         except Exception as exc:

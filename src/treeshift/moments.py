@@ -239,29 +239,21 @@ def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _qd_stop(t) -> Optional[Tuple[int, Scalar]]:
-    """Where the quotient-difference pass on t_0..t_N stops, or None if it never does.
+def _qd_rhombus(t):
+    """Anti-diagonals of Rutishauser's quotient-difference rhombus of t_0..t_N.
 
     The Stieltjes continued fraction t_0 / (1 - c_1 z / (1 - c_2 z / ...)) of
-    t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0) in Rutishauser's
-    quotient-difference rhombus, and every leading principal minor of
-    (t_{i+j}) and (t_{i+j+1}) is a product of powers of t_0 and c_1..c_N
-    (Wall 1948): with t_0 > 0, c_1..c_{2k-2} > 0 make the leading k x k
-    block of (t_{i+j}) positive definite and c_1..c_{2k-1} > 0 that of
-    (t_{i+j+1}).  The rhombus grows one anti-diagonal per entry t_d, from
-    q_1^(d-1) = t_d / t_{d-1} down to c_d, and stops at the first entry
-    x <= 0 with (d, x) (with (0, t_0) when t_0 <= 0): every entry of the
-    anti-diagonals before d, hence c_1..c_{d-1}, is then positive.  None
-    means every entry, hence every c_j, is positive, which proves both forms
-    positive definite.  The entries with superscript n are the coefficients
-    of the shifted sequence (t_n, t_{n+1}, ...), so on a positive definite
-    prefix all of them are positive, and a stop means "not proven", never
-    "violated".
+    t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0).  Anti-diagonal d
+    (d = 1..N) lists q_1^(d-1), e_1^(d-2), q_2^(d-3), ..., down to c_d; it is
+    grown from t_d and anti-diagonal d - 1 by the rhombus rules, whatever the
+    signs of the entries.  The entries with superscript n are the coefficients
+    of the shifted sequence (t_n, t_{n+1}, ...).  The rhombus stops before an
+    anti-diagonal that would divide by an exact zero (t_{d-1} or an e entry).
     """
-    if t[0] <= 0:
-        return 0, t[0]
-    prev: list = []   # anti-diagonal of t_{d-1}: q_1^(d-2), e_1^(d-3), q_2^(d-4), ...
+    prev: list = []   # anti-diagonal d - 1
     for d in range(1, len(t)):
+        if not t[d - 1] or not all(prev[1::2]):
+            return
         cur: list = []
         for i in range(d):
             if i == 0:
@@ -272,16 +264,56 @@ def _qd_stop(t) -> Optional[Tuple[int, Scalar]]:
                     x += prev[i - 2]
             else:         # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
                 x = prev[i - 2] * cur[i - 1] / prev[i - 1]
-            if x <= 0:
-                return d, x
             cur.append(x)
+        yield cur
         prev = cur
+
+
+def _qd_stop(t) -> Optional[Tuple[int, Scalar]]:
+    """Where the quotient-difference pass on t_0..t_N stops, or None if it never does.
+
+    Every leading principal minor of (t_{i+j}) and (t_{i+j+1}) is a product
+    of powers of t_0 and c_1..c_N (Wall 1948): with t_0 > 0, c_1..c_{2k-2} > 0
+    make the leading k x k block of (t_{i+j}) positive definite and
+    c_1..c_{2k-1} > 0 that of (t_{i+j+1}).  The pass stops at the first
+    anti-diagonal d with an entry x <= 0 with (d, x) (with (0, t_0) when
+    t_0 <= 0): every entry before it, hence c_1..c_{d-1}, is then positive,
+    and no divisor has been zero.  None means every entry, hence every c_j,
+    is positive, which proves both forms positive definite; on a positive
+    definite prefix every entry is positive, so a stop means "not proven",
+    never "violated".
+    """
+    if t[0] <= 0:
+        return 0, t[0]
+    for d, diag in enumerate(_qd_rhombus(t), 1):
+        x = next((x for x in diag if x <= 0), None)
+        if x is not None:
+            return d, x
     return None
 
 
 def _qd_positive(t) -> bool:
     """True when the quotient-difference pass proves both Hankel forms positive definite."""
     return _qd_stop(t) is None
+
+
+def _wall_det(s) -> Optional[Scalar]:
+    """det (s_{i+j})_{i,j<k} from s_0..s_{2k-2} by Wall's formula, or None.
+
+    det = s_0^k prod_{i=1}^{k-1} (c_{2i-1} c_{2i})^(k-i) with c_1..c_{2k-2}
+    the S-fraction coefficients of ``_qd_rhombus`` (Wall 1948).  The rhombus
+    rules are rational identities, so the product is the determinant whenever
+    no divisor was zero; None when the rhombus stopped on a zero divisor.
+    """
+    k = (len(s) + 1) // 2
+    s = [Fraction(x) for x in s[:2 * k - 1]]
+    c = [diag[-1] for diag in _qd_rhombus(s)]
+    if len(c) < 2 * k - 2:
+        return None
+    det = s[0] ** k
+    for i in range(1, k):
+        det *= (c[2 * i - 2] * c[2 * i - 1]) ** (k - i)
+    return det
 
 
 def _chebyshev(t, n: int):
@@ -299,7 +331,8 @@ def _chebyshev(t, n: int):
     """
     den = math.lcm(*(x.denominator for x in t))
     # a row -1 of (1, 0, 0, ...) with scale 1 makes the first step the general one
-    rows, dens = [[1] + [0] * len(t), [int(x * den) for x in t]], [1, Fraction(den)]
+    row0 = [x.numerator * (den // x.denominator) for x in t]
+    rows, dens = [[1] + [0] * len(t), row0], [1, Fraction(den)]
     alpha, beta = [], []
     while len(rows) <= n + 1 and rows[-1][0] > 0:
         v, u = rows[-2:]   # u0 v0 D_k sigma_{k+1,l} = u0 v0 u_{l+1} - (u1 v0 - v1 u0) u_l - u0^2 v_l
@@ -313,28 +346,78 @@ def _chebyshev(t, n: int):
     return rows[1:], dens[1:], alpha, beta
 
 
-def _finite_rank_consistent(t, d: int) -> bool:
-    """True when t_0..t_N, whose qd pass stopped at anti-diagonal d, is proven finite-rank PSD.
+def _form_violation(t, depth: Optional[int] = None):
+    """What ``psd_violation_exact`` returns on (t_{i+j})_{i,j<n}, n = N // 2 + 1, and the table.
 
-    Let k = ceil(d / 2).  The anti-diagonals before d are positive, so
-    c_1..c_{2k-2} > 0 make H_k = (t_{i+j})_{i,j<k} positive definite and
-    Chebyshev's table reaches row k.  With pi_k = x^k - sum_l c_l x^l,
-    sigma_{k,l} = 0 for l = k..N-k says t_{m+k} = sum_l c_l t_{m+l} for
-    m = 0..N-k: every row of either form past row k - 1 is the same
-    combination of the rows before it, so (t_{i+j}) = P^T H_k P and
-    (t_{i+j+1}) = P^T H'_k P for one P, with H'_k = (t_{i+j+1})_{i,j<k}.
-    For d = 2k, c_{2k-1} > 0 too, so H'_k is positive definite and both
-    forms are PSD.  For d = 2k - 1 (an atom at 0) only H'_{k-1} is known
-    positive definite; there c_0 = -pi_k(0) = 0 is required, so t_{m+1}
-    obeys the order k - 1 recurrence with c_1..c_{k-1} and
-    (t_{i+j+1}) = Q^T H'_{k-1} Q is PSD as well.  False means "not proven".
+    The elimination's first step needs no table: with t_0 > 0 it exposes
+    the first r with t_0 t_{2r} < t_r^2, in O(N), and (0, r) is returned
+    with no table (None).  Otherwise Chebyshev's table ``_chebyshev(t, depth)``
+    (depth >= n - 1, default n - 1) decides, and is returned with the
+    verdict.  It stops at the first h_K <= 0.  Every h_k > 0 (k < n): the
+    form is positive definite.  h_K = 0 and sigma_{K,l} = 0 for
+    l = K..2n-2-K: every entry up to the form's last one, t_{2n-2}, obeys
+    the recurrence of pi_K, so the form is P^T H_K P with H_K positive
+    definite, hence PSD.  h_K < 0: h_0..h_{K-1} > 0, so the elimination
+    pivots rows 0..K-1 in index order, and after pivots 0..j-1 the diagonal
+    entry r of its Schur complement is t_{2r} - sum_{i<j} sigma_{i,r}^2 / h_i.
+    The first j, and in it the first r, with a negative entry give its
+    witness {0..j-1, r}; j = K at the latest, where the entry at r = K is
+    h_K.  Only a zero pivot with a nonzero sigma row goes to the elimination
+    itself.
     """
-    k = (d + 1) // 2
-    rows, _, alpha, beta = _chebyshev(t, k)
-    at_zero = [ZERO, ONE]   # pi_{-1}(0), pi_0(0), ..., pi_k(0), needed for odd d only
-    for a, b in zip(alpha, beta) if d % 2 else ():
-        at_zero.append(-a * at_zero[-1] - b * at_zero[-2])
-    return len(rows) > k and not (d % 2 and at_zero[-1]) and not any(rows[k])
+    n = (len(t) + 1) // 2
+    if t[0]:
+        a, b = t[0].numerator, t[0].denominator
+        r = next((r for r in range(1, n) if a * t[2 * r].numerator * t[r].denominator ** 2
+                  < b * t[r].numerator ** 2 * t[2 * r].denominator), None)
+        if r is not None:
+            return (0, r), None
+    table = _chebyshev(t, n - 1 if depth is None else depth)
+    rows, dens = table[:2]
+    K = next((k for k, row in enumerate(rows[:n]) if row[0] <= 0), None)
+    if K is None:
+        return None, table
+    if rows[K][0] == 0:
+        finite_rank = not any(rows[K][:2 * (n - K) - 1])
+        return (None if finite_rank else psd_violation_exact(hankel_matrix(t, 0, n))), table
+    diag = list(t[0:2 * n - 1:2])
+    for j in range(1, K + 1):
+        row = rows[j - 1]
+        scale = row[0] * dens[j - 1]   # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale
+        for r in range(j, n):
+            diag[r] -= row[r - j + 1] ** 2 / scale
+            if diag[r] < 0:
+                return (*range(j), r), table
+    raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
+
+
+def _shifted_proven(table, N: int) -> bool:
+    """True when the table of t_0..t_N proves (t_{i+j+1})_{i,j<n}, n = (N + 1) // 2, PSD.
+
+    ``table`` is ``_chebyshev(t, n)``.  For the leading blocks H_j of
+    (t_{i+j}) and H'_j of (t_{i+j+1}), det H'_j = det H_j q_j with
+    q_j = (-1)^j pi_j(0), and q_{j+1} = alpha_j q_j - beta_j q_{j-1} costs
+    O(1) per order.  With every h_k > 0 (k < n), q_1..q_n > 0 proves the
+    form positive definite, and q_1..q_{n-1} > 0 with q_n = 0 proves it PSD
+    (its last Schur complement is 0).  Where the table stopped at h_K = 0
+    (K < n), sigma_{K,l} = 0 for l = K..2n-1-K means t_{m+1} obeys the
+    recurrence of pi_K through the form's last entry, so the form is
+    Q^T H'_K Q, PSD when q_1..q_K > 0; and when q_K = 0 (an atom at 0),
+    pi_K / x gives Q^T H'_{K-1} Q, PSD when q_1..q_{K-1} > 0.  False means
+    "not proven".
+    """
+    rows, _, alpha, beta = table
+    n = (N + 1) // 2
+    q = [ZERO, ONE]   # q_{-1}, q_0, q_1, ...
+    for a, b in zip(alpha[:n], beta):
+        q.append(a * q[-1] - b * q[-2])
+    q = q[2:]
+    K = len(q)
+    if K < n and (rows[K][0] or any(rows[K][:2 * (n - K)])):
+        return False
+    if q and not q[-1]:
+        q.pop()
+    return all(x > 0 for x in q)
 
 
 def _leading_pivots(matrix) -> list:
@@ -372,8 +455,20 @@ def _symmetric_det(matrix) -> Fraction:
 
 
 def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
+    """The witness on the principal minor ``indices`` of ``matrix``, its determinant re-verified.
+
+    A leading minor {0..k-1} of a Hankel form is the Hankel matrix of its own
+    entries s_0..s_{2k-2}, and ``_wall_det`` takes its determinant from their
+    quotient-difference rhombus; any other minor, or a rhombus that meets a
+    zero divisor, goes to ``_symmetric_det``.  Neither shares code with
+    Chebyshev's table or the elimination that found the witness.
+    """
     sub = tuple(tuple(matrix[r][c] for c in indices) for r in indices)
-    det = _symmetric_det(sub)
+    det = None
+    if tuple(indices) == tuple(range(len(sub))):
+        det = _wall_det(sub[0] + tuple(row[-1] for row in sub[1:]))
+    if det is None:
+        det = _symmetric_det(sub)
     if det >= 0:  # the elimination guarantees a negative principal minor
         raise AssertionError(f"witness minor {indices} has determinant {det}")
     return HankelWitness(kind=kind, indices=tuple(indices), entries=sub, det=det,
@@ -419,37 +514,41 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
     Both conditions are necessary for every truncation of a Stieltjes moment
     sequence; a failure of either is a certificate of non-membership, and it
     stays a certificate under any extension of the sequence.  In exact mode
-    the O(N^2) quotient-difference pass decides positive definite prefixes,
-    and a pass that stops on a zero entry is followed by the finite-rank
-    proof of ``_finite_rank_consistent``; the elimination runs only when
-    neither proves the prefix consistent, and finds the witness.
+    one Chebyshev table of t_0..t_N, O(N^2) operations, decides (t_{i+j}):
+    positive definite, finite rank, or the elimination's witness by Schur
+    diagonal sums (``_form_violation``); the same table's pi_j(0) signs
+    decide (t_{i+j+1}) when they can (``_shifted_proven``), and else a
+    table of t_1..t_N does.  The witness is the one the elimination alone
+    would find, and its determinant is re-verified independently.
     """
     t = MomentSequence.coerce(t)
-    n = len(t)
-    if n < 1:
+    if len(t) < 1:
         raise ValueError("need at least t_0")
-    arith = resolve_mode(t.values, mode)
-    values = t.values if arith == "exact" else tuple(float(v) for v in t.values)
-    N = n - 1
+    witness = _violation(t.values, resolve_mode(t.values, mode), tol)
+    return StieltjesVerdict(kind="consistent" if witness is None else "violated",
+                            upto=len(t) - 1, witness=witness)
+
+
+def _violation(values, arith: str, tol: float, shifted: bool = True) -> Optional[HankelWitness]:
+    """The witness of (t_{i+j}), then of (t_{i+j+1}) unless ``shifted`` is False, or None."""
+    N = len(values) - 1
     if arith == "exact":
-        stop = _qd_stop(values)
-        if stop is None or (stop[1] == 0 and _finite_rank_consistent(values, stop[0])):
-            return StieltjesVerdict(kind="consistent", upto=N)
-    layouts = [("hankel", 0, N // 2 + 1)]
-    if N >= 1:
-        layouts.append(("hankel_shifted", 1, (N - 1) // 2 + 1))
-    for kind, offset, size in layouts:
-        matrix = hankel_matrix(values, offset, size)
-        if arith == "exact":
-            bad = psd_violation_exact(matrix)
+        bad, table = _form_violation(values, (N + 1) // 2)
+        if bad is not None:
+            return _witness_from_indices("hankel", hankel_matrix(values, 0, N // 2 + 1), bad)
+        if shifted and N >= 1 and not _shifted_proven(table, N):
+            bad, _ = _form_violation(values[1:])
             if bad is not None:
-                witness = _witness_from_indices(kind, matrix, bad)
-                return StieltjesVerdict(kind="violated", upto=N, witness=witness)
-        else:
-            witness = psd_violation_float(matrix, tol, kind)
-            if witness is not None:
-                return StieltjesVerdict(kind="violated", upto=N, witness=witness)
-    return StieltjesVerdict(kind="consistent", upto=N)
+                matrix = hankel_matrix(values, 1, (N + 1) // 2)
+                return _witness_from_indices("hankel_shifted", matrix, bad)
+        return None
+    values = tuple(float(v) for v in values)
+    forms = (("hankel", 0), ("hankel_shifted", 1)) if shifted and N >= 1 else (("hankel", 0),)
+    for kind, offset in forms:
+        witness = psd_violation_float(hankel_matrix(values, offset, (N - offset) // 2 + 1), tol, kind)
+        if witness is not None:
+            return witness
+    return None
 
 
 def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = None,
@@ -463,6 +562,8 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
     n >= K - k are the whole rhombus of shift k, so a pass with every entry
     positive proves every shift positive definite at once.  Otherwise each
     shift is checked in turn, and the first violated one gives the witness.
+    The form (t_{i+j+1}) of shift k is the form (t_{i+j}) of shift k - 1,
+    which has passed, so shifts k >= 1 check (t_{i+j}) alone.
     """
     if K is None:
         K = -ts.lo
@@ -472,15 +573,14 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
         raise WindowTooSmallError(-ts.lo, K)
     if resolve_mode(ts.values, mode) == "exact" and _qd_positive(ts.shifted(K).values):
         return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
-    shifts = []
     for k in range(K + 1):
-        verdict = stieltjes_check(ts.shifted(k), mode=mode, tol=tol)
-        shifts.append(k)
-        if verdict.violated:
-            witness = replace(verdict.witness, two_sided_shift=k)
+        values = ts.shifted(k).values
+        witness = _violation(values, resolve_mode(values, mode), tol, shifted=k == 0)
+        if witness is not None:
+            witness = replace(witness, two_sided_shift=k)
             return StieltjesVerdict(kind="violated", upto=ts.hi, witness=witness,
-                                    shifts_checked=tuple(shifts))
-    return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(shifts))
+                                    shifts_checked=tuple(range(k + 1)))
+    return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
 
 
 # -- atomic-measure recovery --------------------------------------------------

@@ -284,6 +284,21 @@ class TestFloatMode:
         assert code == 1
         assert "eigenvalue" in out
 
+    @pytest.mark.parametrize("command", [["check"], ["recover", "--atoms", "2"]])
+    def test_entry_beyond_float_range_is_input_error(self, capsys, tmp_path, command):
+        path = _write(tmp_path, "huge.json", {"sequence": ["1", "1", "2", str(10 ** 400)]})
+        code, out, err = run_cli(capsys, "moments", command[0], path, *command[1:], "--mode", "float")
+        assert code == 3
+        assert out == ""
+        assert err == "error: t_3 ($.sequence[3]) does not fit a float\n"
+
+    def test_two_sided_entry_beyond_float_range_names_its_index(self, capsys, tmp_path):
+        doc = {"two_sided": {"lo": -2, "values": ["1", str(10 ** 400), "1", "1"]}}
+        path = _write(tmp_path, "huge.json", doc)
+        code, _, err = run_cli(capsys, "moments", "check", path, "--mode", "float")
+        assert code == 3
+        assert err == "error: t_-1 ($.two_sided.values[1]) does not fit a float\n"
+
 
 class TestInfiniteStemReduce:
     def test_generated_family_reduction(self, capsys, tmp_path):

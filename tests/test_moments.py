@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,12 +29,16 @@ from treeshift import (
     stieltjes_check,
     two_sided_stieltjes_check,
 )
+from treeshift import moments
 from treeshift.moments import (
-    _finite_rank_consistent,
+    _chebyshev,
+    _form_violation,
     _leading_pivots,
     _qd_positive,
     _qd_stop,
+    _shifted_proven,
     _symmetric_det,
+    _wall_det,
     _witness_from_indices,
     det_exact,
     hankel_matrix,
@@ -96,7 +101,7 @@ class TestStieltjesCheck:
             assert not stieltjes_check(values).violated
 
     def test_reciprocal_moments_order_160_consistent(self):
-        # Beta(1, 1) moments: the quotient-difference pass decides them in O(N^2)
+        # Beta(1, 1) moments: the qd pass and Chebyshev's table both prove them in O(N^2)
         values = [Fraction(1, n + 1) for n in range(161)]
         assert _qd_positive(values)
         v = stieltjes_check(values)
@@ -467,15 +472,22 @@ def finite_rank_prefixes(draw):
     return t, nudged
 
 
+def _without_elimination():
+    """Make any call of psd_violation_exact by stieltjes_check fail the test."""
+    return mock.patch.object(moments, "psd_violation_exact",
+                             side_effect=AssertionError("the elimination ran"))
+
+
 @given(finite_rank_prefixes())
 @settings(max_examples=150, deadline=None)
 def test_finite_rank_proof_matches_elimination(case):
     t, nudged = case
-    # an exact atomic prefix is proven by the terminating S-fraction and its recurrence
+    # an exact atomic prefix terminates its S-fraction, and Chebyshev's table proves
+    # both forms PSD from the recurrence of pi_rank, with no elimination
     stop = _qd_stop(t)
     assert stop is not None and stop[1] == 0
-    assert _finite_rank_consistent(t, stop[0])
-    assert stieltjes_check(t).kind == "consistent"
+    with _without_elimination():
+        assert stieltjes_check(t).kind == "consistent"
     assert _eliminate_both_forms(t) is None
     if nudged is not None:
         verdict = stieltjes_check(nudged)
@@ -576,13 +588,139 @@ def test_symmetric_det_on_hankel_witnesses():
 
 
 def test_odd_stop_needs_a_recurrence_without_constant_term():
-    # the pass stops at t_3 = 0 (anti-diagonal 3); the order-2 recurrence through t_0..t_3
-    # holds trivially but has c_0 != 0, so it proves nothing, and the prefix is violated
+    # the pass stops at t_3 = 0 (anti-diagonal 3); (t_{i+j}) is positive definite, but
+    # det (t_{i+j+1}) = det H_2 * pi_2(0) < 0, so the table proves nothing about the
+    # shifted form, and the prefix is violated
     t = [Fraction(9, 2), Fraction(9), Fraction(54), Fraction(0)]
     assert _qd_stop(t) == (3, 0)
-    assert not _finite_rank_consistent(t, 3)
+    assert not _shifted_proven(_chebyshev(t, 2), 3)
     verdict = stieltjes_check(t)
     assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
+
+
+# -- one Chebyshev table per check: Schur sums, pi_j(0) signs, Wall's determinant ----------
+
+
+@st.composite
+def table_prefixes(draw):
+    """t_0..t_N: arbitrary; atomic with one entry perturbed, perhaps with an atom at 0;
+    atomic with an entry past 2 * rank moved (a zero pivot with a nonzero sigma row),
+    perhaps t_0 = 0; or any of these at odd N."""
+    shape = draw(st.sampled_from(("arbitrary", "perturbed", "atom_at_0", "zero_pivot")))
+    N = draw(st.integers(0, 13))
+    if draw(st.booleans()):
+        N |= 1
+    if shape == "arbitrary":
+        return draw(st.lists(quarters(0, 12), min_size=N + 1, max_size=N + 1))
+    rank = draw(st.integers(1, N // 2 + 2))
+    where = draw(st.lists(quarters(1, 16), min_size=rank, max_size=rank, unique=True))
+    if shape == "atom_at_0":
+        where[0] = Fraction(0)
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    t = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(N + 1)]
+    if shape == "zero_pivot" and 2 * rank < N:
+        i = draw(st.integers(2 * rank + 1, N))
+        t[i] = max(Fraction(0), t[i] + Fraction(draw(st.sampled_from((-3, -1, 1, 3))), 64))
+        if draw(st.booleans()):
+            t[0] = Fraction(0)
+    elif shape != "zero_pivot" and draw(st.booleans()):
+        i = draw(st.integers(0, N))
+        t[i] = max(Fraction(0), t[i] + Fraction(draw(st.integers(-18, 18)), 9))
+    return t
+
+
+@given(table_prefixes())
+@settings(max_examples=300, deadline=None)
+def test_table_decides_each_form_like_the_elimination(values):
+    N = len(values) - 1
+    for kind, offset, size in _forms(values)[:1 + (N >= 1)]:
+        matrix = hankel_matrix(values, offset, size)
+        want = psd_violation_exact(matrix)
+        assert _form_violation(values[offset:])[0] == want
+        if want is not None:
+            sub = [[matrix[r][c] for c in want] for r in want]
+            assert _witness_from_indices(kind, matrix, want).det == _symmetric_det(sub) == det_exact(sub)
+
+
+@given(table_prefixes())
+@settings(max_examples=300, deadline=None)
+def test_pi_at_zero_signs_prove_the_shifted_form(values):
+    N = len(values) - 1
+    assume(N >= 1)
+    proven = _shifted_proven(_chebyshev(values, (N + 1) // 2), N)
+    if proven:
+        assert psd_violation_exact(hankel_matrix(values, 1, (N + 1) // 2)) is None
+    minors = [det_exact(hankel_matrix(values, offset, k))
+              for _, offset, size in _forms(values) for k in range(1, size + 1)]
+    if all(d > 0 for d in minors):
+        assert proven
+
+
+@given(finite_rank_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_atomic_prefixes_are_proven_on_one_table(case):
+    t, _ = case
+    N = len(t) - 1
+    assert _form_violation(t)[0] is None
+    assert _shifted_proven(_chebyshev(t, (N + 1) // 2), N)
+
+
+@given(finite_rank_prefixes(), st.sampled_from((-3, -1, 1, 3)))
+@settings(max_examples=150, deadline=None)
+def test_an_entry_past_a_form_leaves_its_proof_alone(case, step):
+    # the last entry t_N lies in (t_{i+j}) for even N and in (t_{i+j+1}) for odd N;
+    # moving it must not stop the other form's finite-rank proof
+    t, _ = case
+    N = len(t) - 1
+    t[N] = max(Fraction(0), t[N] + Fraction(step, 64))
+    if N % 2:
+        with _without_elimination():
+            assert _form_violation(t)[0] is None
+    else:
+        assert _shifted_proven(_chebyshev(t, N // 2), N)
+
+
+def small_hankel_sequences(max_order=6):
+    """s_0..s_{2k-2} of small rationals of either sign, with many zeros."""
+    entry = st.one_of(st.just(Fraction(0)), quarters(-8, 8))
+    return st.integers(1, max_order).flatmap(
+        lambda k: st.lists(entry, min_size=2 * k - 1, max_size=2 * k - 1))
+
+
+@given(small_hankel_sequences())
+@settings(max_examples=300, deadline=None)
+def test_wall_det_matches_det_exact(s):
+    det = _wall_det(s)
+    assert det is None or det == det_exact(hankel_matrix(s, 0, (len(s) + 1) // 2))
+
+
+def test_wall_det_through_negative_entries_and_zero_divisors():
+    # a rhombus with negative entries goes through; a zero e entry stops it, and the
+    # witness determinant then comes from _symmetric_det
+    s = [Fraction(x) for x in (5, 1, 5, 2, 1, 2, 4)]
+    assert sum(x < 0 for diag in moments._qd_rhombus(s) for x in diag) >= 3
+    assert _wall_det(s) == det_exact(hankel_matrix(s, 0, 4)) == -316
+    s = [Fraction(x) for x in (1, 1, 1, 0, 1)]
+    assert _wall_det(s) is None
+    matrix = hankel_matrix(s, 0, 3)
+    assert _witness_from_indices("hankel", matrix, (0, 1, 2)).det == det_exact(matrix) == -1
+    with mock.patch.object(moments, "_symmetric_det", side_effect=AssertionError):
+        assert _witness_from_indices("hankel", hankel_matrix([1, 2, 1], 0, 2), (0, 1)).det == -3
+
+
+@pytest.mark.parametrize("mass, loc, indices, det", [
+    (Fraction(1, 10), Fraction(-1, 2), (0, 1), Fraction(-31, 1440)),
+    (Fraction(1, 100), Fraction(-1, 10), (0, 1, 2, 3, 4),
+     Fraction(-3485157869, 168031584000000000000000)),
+])
+def test_shifted_witness_after_a_positive_definite_form(mass, loc, indices, det):
+    # 1/(n+1) to N = 160 plus a small atom below 0: (t_{i+j}) is positive definite
+    # (a Hamburger prefix), (t_{i+j+1}) is not
+    t = [Fraction(1, n + 1) + mass * loc ** n for n in range(161)]
+    verdict = stieltjes_check(t)
+    assert verdict.witness.kind == "hankel_shifted"
+    assert verdict.witness.indices == indices
+    assert verdict.witness.det == det == det_exact(hankel_matrix(t, 1, len(indices)))
 
 
 # -- atomic recovery on Chebyshev's table ----------------------------------------------
