@@ -31,7 +31,7 @@ from .moments import (
     two_sided_stieltjes_check,
 )
 from .rationals import format_human
-from .report import CertificateReport, Verdict, check_psd
+from .report import CertificateReport, Verdict, check_psd, witness_check
 from .shifts import moment_sequence
 from .trees import KAPPA_INF, format_vertex, parse_vertex
 
@@ -57,9 +57,7 @@ def _sequence_of(inst: Instance, what: str):
 def _stieltjes_report(verdict, origin: str, mode: str) -> CertificateReport:
     checks = []
     if verdict.violated:
-        w = verdict.witness
-        cid = f"psd[{w.kind}]" if w.two_sided_shift is None else f"psd[shift={w.two_sided_shift},{w.kind}]"
-        checks.append(check_psd(cid, False, w.describe()))
+        checks.append(witness_check(verdict.witness))
         v = Verdict.VIOLATED
     else:
         label = f"consistent up to order {verdict.upto}"

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import InstanceError, WeightUndefinedError
 from .measures import AtomicMeasure, moment_ratio_rule
 from .moments import MomentSequence, TwoSidedMomentSequence
-from .rationals import RationalParseError, parse_rational
+from .rationals import RationalParseError, parse_rational, to_float
 from .shifts import WeightSystem, WeightedShift
 from .trees import (
     KAPPA_INF,
@@ -44,12 +44,7 @@ def _rational(value, path: str, as_float: bool, name: str = ""):
         q = parse_rational(value)
     except RationalParseError as exc:
         _fail(path, str(exc))
-    if not as_float:
-        return q
-    try:
-        return float(q)
-    except OverflowError:
-        raise ValueError(f"{f'{name} ({path})' if name else path} does not fit a float") from None
+    return to_float(q, f"{name} ({path})" if name else path) if as_float else q
 
 
 def parse_measure(doc, path: str, as_float: bool = False) -> AtomicMeasure:

@@ -66,9 +66,6 @@ class AtomicMeasure:
     def __iter__(self):
         return iter(self.atoms)
 
-    def locations(self) -> Tuple[Scalar, ...]:
-        return tuple(loc for loc, _ in self.atoms)
-
     def mass_at(self, loc) -> Scalar:
         loc = as_scalar(loc)
         for s, w in self.atoms:
@@ -104,15 +101,6 @@ class AtomicMeasure:
             else:
                 total = total + w * s ** n
         return total
-
-    def without_zero_atom(self) -> "AtomicMeasure":
-        return AtomicMeasure(tuple(a for a in self.atoms if a[0] != 0))
-
-    def scaled(self, factor) -> "AtomicMeasure":
-        factor = as_scalar(factor)
-        if factor == 0:
-            return AtomicMeasure(())
-        return AtomicMeasure(tuple((s, w * factor) for s, w in self.atoms))
 
 
 def moments_of(mu: AtomicMeasure, n: int) -> Scalar:

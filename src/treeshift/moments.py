@@ -33,6 +33,7 @@ from .rationals import (
     as_scalar,
     carleman_term,
     format_human,
+    to_float,
 )
 
 DEFAULT_PSD_TOL = 1e-9
@@ -61,16 +62,6 @@ class MomentSequence:
 
     def __getitem__(self, i):
         return self.values[i]
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def is_exact(self) -> bool:
-        return all_exact(self.values)
-
-    def as_floats(self) -> "MomentSequence":
-        return MomentSequence(tuple(float(v) for v in self.values), origin=self.origin)
 
 
 @dataclass(frozen=True)
@@ -102,11 +93,6 @@ class TwoSidedMomentSequence:
     @property
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
-
-    def __getitem__(self, n: int) -> Scalar:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(n)
-        return self.values[n - self.lo]
 
     def shifted(self, k: int) -> MomentSequence:
         """The one-sided sequence (t_{-k}, t_{-k+1}, ...)."""
@@ -147,21 +133,16 @@ class HankelWitness:
 
 @dataclass(frozen=True)
 class StieltjesVerdict:
-    """Violated / ConsistentUpTo(N) / ExactlyRepresented, with the evidence."""
+    """Violated / ConsistentUpTo(N), with the evidence."""
 
-    kind: str                     # "violated" | "consistent" | "represented"
+    kind: str                     # "violated" | "consistent"
     upto: int
     witness: Optional[HankelWitness] = None
-    measure: Optional[AtomicMeasure] = None
     shifts_checked: Tuple[int, ...] = ()
 
     @property
     def violated(self) -> bool:
         return self.kind == "violated"
-
-    @property
-    def order(self) -> Optional[int]:
-        return self.witness.order if self.witness else None
 
 
 def hankel_matrix(values: Sequence[Scalar], offset: int, size: int):
@@ -246,9 +227,9 @@ def _qd_rhombus(t):
     t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0).  Anti-diagonal d
     (d = 1..N) lists q_1^(d-1), e_1^(d-2), q_2^(d-3), ..., down to c_d; it is
     grown from t_d and anti-diagonal d - 1 by the rhombus rules, whatever the
-    signs of the entries.  The entries with superscript n are the coefficients
-    of the shifted sequence (t_n, t_{n+1}, ...).  The rhombus stops before an
-    anti-diagonal that would divide by an exact zero (t_{d-1} or an e entry).
+    signs of the entries.  The rhombus stops before an anti-diagonal that
+    would divide by an exact zero (t_{d-1} or an e entry).  It serves only
+    ``_wall_det``, which re-verifies witnesses apart from Chebyshev's table.
     """
     prev: list = []   # anti-diagonal d - 1
     for d in range(1, len(t)):
@@ -267,34 +248,6 @@ def _qd_rhombus(t):
             cur.append(x)
         yield cur
         prev = cur
-
-
-def _qd_stop(t) -> Optional[Tuple[int, Scalar]]:
-    """Where the quotient-difference pass on t_0..t_N stops, or None if it never does.
-
-    Every leading principal minor of (t_{i+j}) and (t_{i+j+1}) is a product
-    of powers of t_0 and c_1..c_N (Wall 1948): with t_0 > 0, c_1..c_{2k-2} > 0
-    make the leading k x k block of (t_{i+j}) positive definite and
-    c_1..c_{2k-1} > 0 that of (t_{i+j+1}).  The pass stops at the first
-    anti-diagonal d with an entry x <= 0 with (d, x) (with (0, t_0) when
-    t_0 <= 0): every entry before it, hence c_1..c_{d-1}, is then positive,
-    and no divisor has been zero.  None means every entry, hence every c_j,
-    is positive, which proves both forms positive definite; on a positive
-    definite prefix every entry is positive, so a stop means "not proven",
-    never "violated".
-    """
-    if t[0] <= 0:
-        return 0, t[0]
-    for d, diag in enumerate(_qd_rhombus(t), 1):
-        x = next((x for x in diag if x <= 0), None)
-        if x is not None:
-            return d, x
-    return None
-
-
-def _qd_positive(t) -> bool:
-    """True when the quotient-difference pass proves both Hankel forms positive definite."""
-    return _qd_stop(t) is None
 
 
 def _wall_det(s) -> Optional[Scalar]:
@@ -391,13 +344,21 @@ def _form_violation(t, depth: Optional[int] = None):
     raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
 
 
+def _pi_at_zero(table, n: int) -> list:
+    """q_1..q_n, q_j = (-1)^j pi_j(0), as far as ``table`` reaches: q_{j+1} = alpha_j q_j - beta_j q_{j-1}."""
+    _, _, alpha, beta = table
+    q = [ZERO, ONE]   # q_{-1}, q_0, q_1, ...
+    for a, b in zip(alpha[:n], beta):
+        q.append(a * q[-1] - b * q[-2])
+    return q[2:]
+
+
 def _shifted_proven(table, N: int) -> bool:
     """True when the table of t_0..t_N proves (t_{i+j+1})_{i,j<n}, n = (N + 1) // 2, PSD.
 
     ``table`` is ``_chebyshev(t, n)``.  For the leading blocks H_j of
     (t_{i+j}) and H'_j of (t_{i+j+1}), det H'_j = det H_j q_j with
-    q_j = (-1)^j pi_j(0), and q_{j+1} = alpha_j q_j - beta_j q_{j-1} costs
-    O(1) per order.  With every h_k > 0 (k < n), q_1..q_n > 0 proves the
+    q_j = (-1)^j pi_j(0) from ``_pi_at_zero``, O(1) per order.  With every h_k > 0 (k < n), q_1..q_n > 0 proves the
     form positive definite, and q_1..q_{n-1} > 0 with q_n = 0 proves it PSD
     (its last Schur complement is 0).  Where the table stopped at h_K = 0
     (K < n), sigma_{K,l} = 0 for l = K..2n-1-K means t_{m+1} obeys the
@@ -406,12 +367,8 @@ def _shifted_proven(table, N: int) -> bool:
     pi_K / x gives Q^T H'_{K-1} Q, PSD when q_1..q_{K-1} > 0.  False means
     "not proven".
     """
-    rows, _, alpha, beta = table
     n = (N + 1) // 2
-    q = [ZERO, ONE]   # q_{-1}, q_0, q_1, ...
-    for a, b in zip(alpha[:n], beta):
-        q.append(a * q[-1] - b * q[-2])
-    q = q[2:]
+    rows, q = table[0], _pi_at_zero(table, n)
     K = len(q)
     if K < n and (rows[K][0] or any(rows[K][:2 * (n - K)])):
         return False
@@ -420,38 +377,27 @@ def _shifted_proven(table, N: int) -> bool:
     return all(x > 0 for x in q)
 
 
-def _leading_pivots(matrix) -> list:
-    """Pivots of a symmetric matrix's elimination in index order, up to the first zero one.
+def _window_proven(s) -> bool:
+    """True when the table of ``_form_violation(s, n)``, n = (N + 1) // 2, proves
+    s_0..s_N the moments of a measure mu on [0, inf); False means "not proven".
 
-    Each step divides the pivot row once and updates only the upper
-    triangle of the trailing block.  The k-th pivot is det H_k / det H_(k-1)
-    for the leading k x k blocks H_k, so their count is the number of
-    leading blocks that are nonsingular.
+    Both Hankel forms positive definite (every h_k > 0 and q_1..q_n > 0,
+    ``_pi_at_zero``): mu exists (Curto and Fialkow, Houston J. Math. 17, 1991).
+    A stop at h_r = 0 with sigma_{r,l} = 0 through l = N - r, and q_1..q_r > 0:
+    the Gauss rule G on the zeros of pi_r agrees with L(x^j) = s_j below
+    degree 2r, and both vanish on pi_r x^l for l <= N - r, hence on every
+    multiple of pi_r of degree <= N, so L = G there (divide by pi_r); and
+    det H'_r = det(V^T diag(x_i w_i) V) > 0 puts G's nodes x_i in (0, inf).
+    For s = (t_{-K}, ..., t_hi), shift k holds the moments of x^{K-k} dmu, so
+    every shift is PSD.  q_n = 0 or q_r = 0 (an atom at 0) is not proven.
     """
-    a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
-    pivots = []
-    for k, row in enumerate(a):
-        piv = row[k]
-        if piv == 0:
-            break
-        pivots.append(piv)
-        scaled = [x / piv for x in row[k + 1:]]
-        for i in range(k + 1, len(a)):
-            x = row[i]
-            if x:
-                a[i][i:] = [y - x * s for y, s in zip(a[i][i:], scaled[i - k - 1:])]
-    return pivots
-
-
-def _symmetric_det(matrix) -> Fraction:
-    """Determinant of a symmetric matrix from ``_leading_pivots``.
-
-    About half the work of ``det_exact``; a zero pivot hands the whole
-    matrix to ``det_exact``, which pivots by rows.  It shares no code with
-    ``psd_violation_exact``, so it re-verifies what that elimination found.
-    """
-    pivots = _leading_pivots(matrix)
-    return math.prod(pivots, start=ONE) if len(pivots) == len(matrix) else det_exact(matrix)
+    N = len(s) - 1
+    bad, table = _form_violation(s, (N + 1) // 2)
+    if bad is not None:
+        return False
+    rows = table[0]
+    r = next((k for k, row in enumerate(rows[:N // 2 + 1]) if not row[0]), None)
+    return (r is None or not any(rows[r])) and all(x > 0 for x in _pi_at_zero(table, (N + 1) // 2))
 
 
 def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
@@ -460,15 +406,15 @@ def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
     A leading minor {0..k-1} of a Hankel form is the Hankel matrix of its own
     entries s_0..s_{2k-2}, and ``_wall_det`` takes its determinant from their
     quotient-difference rhombus; any other minor, or a rhombus that meets a
-    zero divisor, goes to ``_symmetric_det``.  Neither shares code with
-    Chebyshev's table or the elimination that found the witness.
+    zero divisor, goes to ``det_exact``.  Neither shares code with Chebyshev's
+    table or the elimination that found the witness.
     """
     sub = tuple(tuple(matrix[r][c] for c in indices) for r in indices)
     det = None
     if tuple(indices) == tuple(range(len(sub))):
         det = _wall_det(sub[0] + tuple(row[-1] for row in sub[1:]))
     if det is None:
-        det = _symmetric_det(sub)
+        det = det_exact(sub)
     if det >= 0:  # the elimination guarantees a negative principal minor
         raise AssertionError(f"witness minor {indices} has determinant {det}")
     return HankelWitness(kind=kind, indices=tuple(indices), entries=sub, det=det,
@@ -542,7 +488,7 @@ def _violation(values, arith: str, tol: float, shifted: bool = True) -> Optional
                 matrix = hankel_matrix(values, 1, (N + 1) // 2)
                 return _witness_from_indices("hankel_shifted", matrix, bad)
         return None
-    values = tuple(float(v) for v in values)
+    values = tuple(to_float(v, f"t_{i}") for i, v in enumerate(values))
     forms = (("hankel", 0), ("hankel_shifted", 1)) if shifted and N >= 1 else (("hankel", 0),)
     for kind, offset in forms:
         witness = psd_violation_float(hankel_matrix(values, offset, (N - offset) // 2 + 1), tol, kind)
@@ -557,13 +503,13 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
 
     A two-sided sequence is a moment window of a measure on (0, inf) exactly
     when every left shift is Stieltjes; k ranges over 0..K here, bounded by
-    the window.  In exact mode one quotient-difference pass over the longest
-    shift (t_{-K}, ...) comes first: its rhombus entries with superscript
-    n >= K - k are the whole rhombus of shift k, so a pass with every entry
-    positive proves every shift positive definite at once.  Otherwise each
-    shift is checked in turn, and the first violated one gives the witness.
-    The form (t_{i+j+1}) of shift k is the form (t_{i+j}) of shift k - 1,
-    which has passed, so shifts k >= 1 check (t_{i+j}) alone.
+    the window.  In exact mode one Chebyshev table of the longest shift
+    (t_{-K}, ..., t_hi) comes first, and when it proves that shift the moment
+    sequence of a measure on [0, inf) (``_window_proven``), every shift
+    passes at once.  Otherwise each shift is checked in turn, and the first
+    violated one gives the witness.  The form (t_{i+j+1}) of shift k is the
+    form (t_{i+j}) of shift k - 1, which has passed, so shifts k >= 1 check
+    (t_{i+j}) alone.
     """
     if K is None:
         K = -ts.lo
@@ -571,11 +517,14 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
         raise ValueError(f"window must be nonnegative, got {K}")
     if K > -ts.lo:
         raise WindowTooSmallError(-ts.lo, K)
-    if resolve_mode(ts.values, mode) == "exact" and _qd_positive(ts.shifted(K).values):
+    if resolve_mode(ts.values, mode) == "exact" and _window_proven(ts.shifted(K).values):
         return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
     for k in range(K + 1):
         values = ts.shifted(k).values
-        witness = _violation(values, resolve_mode(values, mode), tol, shifted=k == 0)
+        arith = resolve_mode(values, mode)
+        if arith == "float":   # name an entry beyond float range by its window index
+            values = tuple(to_float(v, f"t_{n}") for n, v in enumerate(values, -k))
+        witness = _violation(values, arith, tol, shifted=k == 0)
         if witness is not None:
             witness = replace(witness, two_sided_shift=k)
             return StieltjesVerdict(kind="violated", upto=ts.hi, witness=witness,
@@ -767,7 +716,7 @@ def _recover_exact(t: MomentSequence, m: int) -> AtomicMeasure:
 def _recover_float(t: MomentSequence, m: int) -> AtomicMeasure:
     import numpy as np
 
-    values = [float(v) for v in t.values]
+    values = [to_float(v, f"t_{i}") for i, v in enumerate(t.values)]
     scale = max(abs(v) for v in values) or 1.0
     rank = 0
     while rank < m:

@@ -60,6 +60,14 @@ def as_scalar(value) -> Scalar:
     raise TypeError(f"unsupported scalar type: {value!r}")
 
 
+def to_float(x: Scalar, name: str) -> float:
+    """float(x), or a ValueError naming the entry when x lies beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{name} does not fit a float") from None
+
+
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
 

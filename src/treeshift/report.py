@@ -72,6 +72,12 @@ def check_psd(cid: str, passed: bool, witness_note: str = "") -> Check:
     return Check(cid, "psd", "", "", bool(passed), None, witness_note)
 
 
+def witness_check(w) -> Check:
+    """The failing check of a ``HankelWitness``: ``psd[kind]``, or ``psd[shift=k,kind]`` in a window."""
+    tag = w.kind if w.two_sided_shift is None else f"shift={w.two_sided_shift},{w.kind}"
+    return check_psd(f"psd[{tag}]", False, w.describe())
+
+
 def _render(value, machine: bool) -> object:
     if value is None or value == "":
         return ""

@@ -411,6 +411,26 @@ class TestNegativeOrders:
         assert err.startswith("error: k_max must be at least 1, got 0")
 
 
+class TestWindowCeiling:
+    """A window beyond the ceiling is an input error, from the flag or the document, not a hang."""
+
+    def test_window_flag_above_ceiling(self, capsys):
+        code, out, err = run_cli(capsys, "certify", str(DATA / "bilateral.json"), "--window", str(10 ** 11))
+        assert (code, out) == (3, "")
+        assert err == "error: window must be at most 1000, got 100000000000\n"
+
+    def test_window_in_document_above_ceiling(self, capsys, tmp_path):
+        doc = {**json.loads((DATA / "bilateral.json").read_text()), "window": 1001}
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "wide.json", doc))
+        assert (code, out) == (3, "")
+        assert err == "error: window must be at most 1000, got 1001\n"
+
+    def test_window_at_ceiling_runs(self, capsys):
+        code, _, _ = run_cli(capsys, "certify", str(DATA / "bilateral.json"), "--window", "1000",
+                             "--depth", "2", "--format", "struct")
+        assert code == 0
+
+
 def test_exact_paths_do_not_load_numpy(tmp_path):
     import treeshift
 

@@ -33,12 +33,10 @@ from treeshift import moments
 from treeshift.moments import (
     _chebyshev,
     _form_violation,
-    _leading_pivots,
-    _qd_positive,
-    _qd_stop,
+    _pi_at_zero,
     _shifted_proven,
-    _symmetric_det,
     _wall_det,
+    _window_proven,
     _witness_from_indices,
     det_exact,
     hankel_matrix,
@@ -89,6 +87,17 @@ class TestStieltjesCheck:
         assert v.violated
         assert v.witness.min_eigenvalue < 0
 
+    def test_float_mode_names_an_entry_beyond_float_range(self):
+        # a ValueError naming the entry, as the document loader gives, not an OverflowError
+        t = [1, 1, 2, 10 ** 400]
+        with pytest.raises(ValueError, match=r"^t_3 does not fit a float$"):
+            stieltjes_check(t, mode="float")
+        with pytest.raises(ValueError, match=r"^t_3 does not fit a float$"):
+            recover_atomic_measure(t, 2, mode="float")
+        ts = TwoSidedMomentSequence(-1, (Fraction(10 ** 400), Fraction(1), Fraction(1), Fraction(1)))
+        with pytest.raises(ValueError, match=r"^t_-1 does not fit a float$"):
+            two_sided_stieltjes_check(ts, mode="float")
+
     def test_zero_measure_moments(self):
         v = stieltjes_check(seq(1, 0, 0, 0, 0))
         assert v.kind == "consistent"
@@ -101,9 +110,10 @@ class TestStieltjesCheck:
             assert not stieltjes_check(values).violated
 
     def test_reciprocal_moments_order_160_consistent(self):
-        # Beta(1, 1) moments: the qd pass and Chebyshev's table both prove them in O(N^2)
+        # Beta(1, 1) moments: the qd rhombus is positive, and Chebyshev's table proves
+        # both forms positive definite in O(N^2)
         values = [Fraction(1, n + 1) for n in range(161)]
-        assert _qd_positive(values)
+        assert _rhombus_positive(values) and _window_proven(values)
         v = stieltjes_check(values)
         assert v.kind == "consistent"
         assert v.upto == 160
@@ -373,12 +383,20 @@ def _eliminate_both_forms(values, shift=None):
     return None
 
 
+def _rhombus_positive(t):
+    """t_0 > 0 and every entry of the whole qd rhombus of t_0..t_N positive."""
+    diags = list(moments._qd_rhombus(t))
+    return t[0] > 0 and len(diags) == len(t) - 1 and all(x > 0 for diag in diags for x in diag)
+
+
 @given(rational_prefixes())
 @settings(max_examples=150, deadline=None)
 def test_qd_pass_iff_leading_minors_positive(values):
+    # every c_j > 0 exactly when both forms are positive definite (Wall 1948), the
+    # property that lets _wall_det take a leading minor's determinant from the rhombus
     minors = [det_exact(hankel_matrix(values, offset, k))
               for _, offset, size in _forms(values) for k in range(1, size + 1)]
-    assert _qd_positive(values) == all(d > 0 for d in minors)
+    assert _rhombus_positive(values) == all(d > 0 for d in minors)
 
 
 @given(rational_prefixes())
@@ -482,10 +500,11 @@ def _without_elimination():
 @settings(max_examples=150, deadline=None)
 def test_finite_rank_proof_matches_elimination(case):
     t, nudged = case
-    # an exact atomic prefix terminates its S-fraction, and Chebyshev's table proves
-    # both forms PSD from the recurrence of pi_rank, with no elimination
-    stop = _qd_stop(t)
-    assert stop is not None and stop[1] == 0
+    # an exact atomic prefix stops Chebyshev's table at h_rank = 0 with sigma_rank zero
+    # through t_N, and the table proves both forms PSD from the recurrence of pi_rank,
+    # with no elimination
+    rows = _chebyshev(t, (len(t) + 1) // 2)[0]
+    assert rows[-1][:1] == [0] and not any(rows[-1])
     with _without_elimination():
         assert stieltjes_check(t).kind == "consistent"
     assert _eliminate_both_forms(t) is None
@@ -522,21 +541,32 @@ def test_diagonal_first_exit_matches_full_steps(matrix):
 @st.composite
 def full_rank_windows(draw):
     """t_{-W}..t_N of a measure with more atoms than the window resolves (or fewer),
-    one entry possibly rescaled, and a K in 0..W."""
+    perhaps with a lighter mirror of its lowest atom below 0 (a Hamburger window),
+    one entry possibly rescaled or the last one nudged, and a K in 0..W."""
     W = draw(st.integers(0, 5))
     N = draw(st.integers(0, 8))
     rank = draw(st.integers(1, 10))
     where = draw(st.lists(quarters(1, 24), min_size=rank, max_size=rank, unique=True))
     mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    if draw(st.booleans()):
+        low, w = min(zip(where, mass))
+        where.append(-low)
+        mass.append(w / 2)
     values = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(-W, N + 1)]
-    i = draw(st.integers(0, W + N))
-    values[i] *= draw(st.sampled_from((Fraction(1), Fraction(1), Fraction(1, 3), Fraction(3, 2))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, W + N))
+        values[i] *= draw(st.sampled_from((Fraction(1), Fraction(1, 3), Fraction(3, 2))))
+    else:   # past a finite-rank form's last entry: only the other form sees it
+        values[-1] += draw(st.sampled_from((Fraction(-1, 64), Fraction(1, 64))))
+        assume(values[-1] > 0)
     return TwoSidedMomentSequence(-W, tuple(values)), draw(st.integers(0, W))
 
 
 @given(full_rank_windows())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_window_rhombus_matches_per_shift_loop(case):
+    # the window's table proof must claim only windows whose every shift the
+    # elimination passes, and the check must agree with the elimination shift by shift
     ts, K = case
     verdict = two_sided_stieltjes_check(ts, K)
     for k in range(K + 1):
@@ -548,11 +578,13 @@ def test_window_rhombus_matches_per_shift_loop(case):
     assert verdict.witness == witness
     assert verdict.kind == ("violated" if witness else "consistent")
     assert verdict.shifts_checked == tuple(range(k + 1))
+    if _window_proven(ts.shifted(K).values):
+        assert witness is None
 
 
 def test_window_rhombus_decides_a_positive_definite_window():
     # Beta(13, 2) moments on [0, 1] with their negative moments down to t_{-10}:
-    # every shift is positive definite, so the one pass over (t_{-10}, ...) decides the window
+    # every shift is positive definite, so the one table of (t_{-10}, ...) decides the window
     p, q = Fraction(13), Fraction(2)
     values = [Fraction(1)]
     for k in range(30):
@@ -561,39 +593,48 @@ def test_window_rhombus_decides_a_positive_definite_window():
     for j in range(1, 11):
         neg.append(neg[-1] * (p + q - j) / (p - j))
     ts = TwoSidedMomentSequence(-10, tuple(neg[:0:-1] + values))
-    assert _qd_positive(ts.shifted(10).values)
-    verdict = two_sided_stieltjes_check(ts)
+    assert _window_proven(ts.shifted(10).values)
+    with mock.patch.object(moments, "_violation", side_effect=AssertionError("a shift was checked")):
+        verdict = two_sided_stieltjes_check(ts)
     assert verdict.kind == "consistent"
     assert verdict.shifts_checked == tuple(range(11))
 
 
+def _bareiss_det(matrix):
+    """sympy's Bareiss determinant, or None when sympy is not installed."""
+    if importlib.util.find_spec("sympy") is None:
+        return None
+    import sympy
+
+    return Fraction(str(sympy.Matrix(matrix).det(method="bareiss")))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None, reason="the reference needs sympy")
 @given(small_symmetric_matrices(max_size=7))
 @settings(max_examples=200, deadline=None)
-def test_symmetric_det_matches_det_exact(matrix):
-    det = _symmetric_det(matrix)
-    assert det == det_exact(matrix)
-    try:
-        import sympy
-    except ImportError:
-        return
-    assert det == Fraction(str(sympy.Matrix(matrix).det(method="bareiss")))
+def test_det_exact_matches_bareiss(matrix):
+    assert det_exact(matrix) == _bareiss_det(matrix)
 
 
-def test_symmetric_det_on_hankel_witnesses():
-    # the 1/(n+1) Hankel forms, with a zero leading pivot and a negative 2 x 2 minor
+def test_det_exact_on_hankel_witnesses():
+    # the 1/(n+1) Hankel form of order 9 (det = c_9^4 / c_18, c_n = prod_{i<n} i!),
+    # a zero leading pivot, and a negative 2 x 2 minor
     hilbert = hankel_matrix([Fraction(1, n + 1) for n in range(17)], 0, 9)
-    assert _symmetric_det(hilbert) == det_exact(hilbert) > 0
-    assert _symmetric_det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    c = [math.prod(math.factorial(i) for i in range(n)) for n in range(19)]
+    assert det_exact(hilbert) == Fraction(c[9] ** 4, c[18])
+    assert det_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
     assert _witness_from_indices("hankel", [[1, 2], [2, 1]], (0, 1)).det == -3
 
 
 def test_odd_stop_needs_a_recurrence_without_constant_term():
-    # the pass stops at t_3 = 0 (anti-diagonal 3); (t_{i+j}) is positive definite, but
-    # det (t_{i+j+1}) = det H_2 * pi_2(0) < 0, so the table proves nothing about the
-    # shifted form, and the prefix is violated
+    # t_3 = 0: the table proves (t_{i+j}) positive definite (h_0, h_1 > 0), but
+    # q_2 = pi_2(0) < 0 makes det (t_{i+j+1}) = det H_2 * q_2 < 0, so the table proves
+    # nothing about the shifted form, nor the window, and the prefix is violated
     t = [Fraction(9, 2), Fraction(9), Fraction(54), Fraction(0)]
-    assert _qd_stop(t) == (3, 0)
-    assert not _shifted_proven(_chebyshev(t, 2), 3)
+    bad, table = _form_violation(t, 2)
+    assert bad is None and all(row[0] > 0 for row in table[0][:2])
+    assert _pi_at_zero(table, 2)[-1] < 0
+    assert not _shifted_proven(table, 3) and not _window_proven(t)
     verdict = stieltjes_check(t)
     assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
 
@@ -639,7 +680,8 @@ def test_table_decides_each_form_like_the_elimination(values):
         assert _form_violation(values[offset:])[0] == want
         if want is not None:
             sub = [[matrix[r][c] for c in want] for r in want]
-            assert _witness_from_indices(kind, matrix, want).det == _symmetric_det(sub) == det_exact(sub)
+            det = _witness_from_indices(kind, matrix, want).det
+            assert det == det_exact(sub) and _bareiss_det(sub) in (None, det)
 
 
 @given(table_prefixes())
@@ -696,7 +738,7 @@ def test_wall_det_matches_det_exact(s):
 
 def test_wall_det_through_negative_entries_and_zero_divisors():
     # a rhombus with negative entries goes through; a zero e entry stops it, and the
-    # witness determinant then comes from _symmetric_det
+    # witness determinant then comes from det_exact
     s = [Fraction(x) for x in (5, 1, 5, 2, 1, 2, 4)]
     assert sum(x < 0 for diag in moments._qd_rhombus(s) for x in diag) >= 3
     assert _wall_det(s) == det_exact(hankel_matrix(s, 0, 4)) == -316
@@ -704,7 +746,7 @@ def test_wall_det_through_negative_entries_and_zero_divisors():
     assert _wall_det(s) is None
     matrix = hankel_matrix(s, 0, 3)
     assert _witness_from_indices("hankel", matrix, (0, 1, 2)).det == det_exact(matrix) == -1
-    with mock.patch.object(moments, "_symmetric_det", side_effect=AssertionError):
+    with mock.patch.object(moments, "det_exact", side_effect=AssertionError):
         assert _witness_from_indices("hankel", hankel_matrix([1, 2, 1], 0, 2), (0, 1)).det == -3
 
 
@@ -902,11 +944,3 @@ def test_table_recovery_matches_the_replaced_route(case):
         if kind == "exact":
             assert got.atoms == ref
 
-
-@given(rational_prefixes())
-@settings(max_examples=200, deadline=None)
-def test_leading_pivot_count_is_the_hankel_rank(values):
-    size = (len(values) - 1) // 2 + 1
-    want = next((k for k in range(1, size + 1)
-                 if det_exact(hankel_matrix(values, 0, k)) == 0), size + 1) - 1
-    assert len(_leading_pivots(hankel_matrix(values, 0, size))) == want
