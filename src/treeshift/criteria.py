@@ -652,44 +652,19 @@ def build_branch_tree_system(shift: WeightedShift,
     for entry, bmu in zip(frame.entries, branch_measures):
         ray = _single_child_path(shift, entry, max(branch_depth - 1, 0))
         for n, v in enumerate(ray, 1):
-            norm = moments_of(bmu, n - 1)
-            mu[v] = AtomicMeasure.from_atoms((s, w * s ** (n - 1) / norm) for s, w in bmu.atoms)
+            mu[v] = bmu.tilted(n - 1)
             eps[v] = ZERO
 
+    # stem vertex l (the branching vertex at l = 0) carries sum_i P_l e_i s^-(l+1) dmu_i,
+    # which may merge coincident atoms; the root also carries the defect at 0
     entry_sq = [shift.sq(v) for v in frame.entries]
-    products = _stem_products(shift, frame, int(kappa) if rooted else stem_len)
-
-    def stem_measure(power_level: int) -> AtomicMeasure:
-        # measure with atoms sum_i P * e_i * w / s**(power_level+1)
-        P = products[power_level]
-        atoms = []
-        for e, bmu in zip(entry_sq, branch_measures):
-            for s, w in bmu.atoms:
-                atoms.append((s, P * e * w * s ** (-(power_level + 1))))
-        return AtomicMeasure.from_atoms(atoms)
-
-    b = frame.branch_vertex
-    if kappa == 0:
-        body = stem_measure(0)
-        defect = 1 - body.total_mass()
-        eps[b] = defect
-        mu[b] = AtomicMeasure.from_atoms(list(body.atoms) + ([(ZERO, defect)] if defect != 0 else []))
-    else:
-        mu[b] = stem_measure(0)
-        eps[b] = ZERO
-        last = stem_len if not rooted else int(kappa) - 1
-        for l in range(1, last + 1):
-            v = frame.stem_vertex(l)
-            mu[v] = stem_measure(l)
-            eps[v] = ZERO
-        if rooted:
-            root = frame.stem_vertex(int(kappa))
-            body = stem_measure(int(kappa))
-            defect = 1 - body.total_mass()
-            eps[root] = defect
-            mu[root] = AtomicMeasure.from_atoms(
-                list(body.atoms) + ([(ZERO, defect)] if defect != 0 else [])
-            )
+    last = int(kappa) if rooted else stem_len
+    for l, P in enumerate(_stem_products(shift, frame, last)):
+        body = AtomicMeasure.from_atoms((s, P * e * w * s ** (-(l + 1)))
+                                        for e, bmu in zip(entry_sq, branch_measures) for s, w in bmu.atoms)
+        v = frame.stem_vertex(l)
+        eps[v] = 1 - body.total_mass() if rooted and l == last else ZERO
+        mu[v] = AtomicMeasure.from_atoms(list(body.atoms) + [(ZERO, eps[v])]) if eps[v] != 0 else body
     return ConsistentSystem(mu, eps)
 
 

@@ -9,9 +9,10 @@ treat that as a hard error instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence, Tuple
 
 from .errors import (
@@ -22,6 +23,29 @@ from .errors import (
     ZeroMomentError,
 )
 from .rationals import INF, ONE, ZERO, Scalar, all_exact, as_scalar, mul0
+
+
+class _PowerSums:
+    """Power sums m_0, m_1, ... of exact atoms (s_i, w_i), extended on demand.
+
+    With L and B the lcms of the location and mass denominators, P_i = s_i L
+    and A_i = w_i B are integers and m_n = sum_i A_i P_i^n / (B L^n): one
+    integer product per atom and one Fraction per new order.
+    """
+
+    def __init__(self, atoms):
+        self.step = math.lcm(*(s.denominator for s, _ in atoms))
+        self.den = math.lcm(*(w.denominator for _, w in atoms))
+        self.bases = [s.numerator * (self.step // s.denominator) for s, _ in atoms]
+        self.weights = self.terms = [w.numerator * (self.den // w.denominator) for _, w in atoms]
+        self.sums = [Fraction(sum(self.terms), self.den)]
+
+    def __getitem__(self, n: int) -> Fraction:
+        while len(self.sums) <= n:
+            self.terms = [a * p for a, p in zip(self.terms, self.bases)]
+            self.den *= self.step
+            self.sums.append(Fraction(sum(self.terms), self.den))
+        return self.sums[n]
 
 
 @dataclass(frozen=True)
@@ -66,18 +90,19 @@ class AtomicMeasure:
     def __iter__(self):
         return iter(self.atoms)
 
+    @cached_property
+    def _masses(self) -> dict:
+        return dict(self.atoms)
+
     def mass_at(self, loc) -> Scalar:
-        loc = as_scalar(loc)
-        for s, w in self.atoms:
-            if s == loc:
-                return w
-        return ZERO
+        # Fraction, int and float keys hash alike when they are equal
+        return self._masses.get(as_scalar(loc), ZERO)
 
     def total_mass(self) -> Scalar:
         return sum((w for _, w in self.atoms), ZERO)
 
     def has_zero_atom(self) -> bool:
-        return any(s == 0 for s, _ in self.atoms)
+        return 0 in self._masses
 
     def is_exact(self) -> bool:
         return all_exact(x for atom in self.atoms for x in atom)
@@ -88,10 +113,22 @@ class AtomicMeasure:
             return total == 1
         return abs(float(total) - 1.0) <= tol
 
+    @cached_property
+    def _ascending(self):
+        """The power sums m_0, m_1, ... of an exact measure; None for a float one."""
+        return _PowerSums(self.atoms) if self.is_exact() else None
+
+    @cached_property
+    def _descending(self):
+        """m_0, m_{-1}, ... of an exact measure with no atom at 0."""
+        return _PowerSums([(1 / s, w) for s, w in self.atoms])
+
     def moment(self, n: int) -> Scalar:
         """The n-th power moment; +inf when n < 0 and an atom sits at 0."""
         if n < 0 and self.has_zero_atom():
             return INF
+        if self._ascending is not None:
+            return self._ascending[n] if n >= 0 else self._descending[-n]
         total = ZERO
         for s, w in self.atoms:
             if n == 0:
@@ -101,6 +138,16 @@ class AtomicMeasure:
             else:
                 total = total + w * s ** n
         return total
+
+    def tilted(self, n: int) -> "AtomicMeasure":
+        """s^n dmu / m_n (n >= 0, no atom at 0): a positive rescaling, so no ``from_atoms``."""
+        table = self._ascending
+        if table is None:   # a float mass may underflow to 0, which from_atoms would drop
+            norm = self.moment(n)
+            return AtomicMeasure(tuple((s, m) for s, w in self.atoms if (m := w * s ** n / norm) != 0))
+        terms = [a * p ** n for a, p in zip(table.weights, table.bases)]
+        total = sum(terms)
+        return AtomicMeasure(tuple((s, Fraction(a, total)) for (s, _), a in zip(self.atoms, terms)))
 
 
 def moments_of(mu: AtomicMeasure, n: int) -> Scalar:
@@ -117,15 +164,11 @@ def moment_ratio_rule(mu: AtomicMeasure) -> Callable[[int], Scalar]:
     """
 
     @cache
-    def moment(n: int) -> Scalar:
-        m = mu.moment(n)
-        if m == 0:
-            raise ZeroMomentError(n)
-        return m
-
-    @cache
     def ratio(j: int) -> Scalar:
-        return moment(j - 1) / moment(j - 2)
+        num, den = mu.moment(j - 1), mu.moment(j - 2)
+        if num == 0 or den == 0:
+            raise ZeroMomentError(j - 1 if num == 0 else j - 2)
+        return num / den
 
     return ratio
 

@@ -299,14 +299,26 @@ def _chebyshev(t, n: int):
     return rows[1:], dens[1:], alpha, beta
 
 
+def _first_step(t, n: int) -> Optional[Tuple[int, int]]:
+    """(0, r) for the first r < n with t_0 t_{2r} < t_r^2 when t_0 != 0, else None.
+
+    The elimination's first step on (t_{i+j})_{i,j<n}, in O(n) integer products.
+    """
+    if not t[0]:
+        return None
+    a, b = t[0].numerator, t[0].denominator
+    r = next((r for r in range(1, n) if a * t[2 * r].numerator * t[r].denominator ** 2
+              < b * t[r].numerator ** 2 * t[2 * r].denominator), None)
+    return None if r is None else (0, r)
+
+
 def _form_violation(t, depth: Optional[int] = None):
     """What ``psd_violation_exact`` returns on (t_{i+j})_{i,j<n}, n = N // 2 + 1, and the table.
 
-    The elimination's first step needs no table: with t_0 > 0 it exposes
-    the first r with t_0 t_{2r} < t_r^2, in O(N), and (0, r) is returned
-    with no table (None).  Otherwise Chebyshev's table ``_chebyshev(t, depth)``
-    (depth >= n - 1, default n - 1) decides, and is returned with the
-    verdict.  It stops at the first h_K <= 0.  Every h_k > 0 (k < n): the
+    The elimination's first step needs no table: its witness (0, r) from
+    ``_first_step`` is returned with no table (None).  Otherwise Chebyshev's
+    table ``_chebyshev(t, depth)`` (depth >= n - 1, default n - 1) decides,
+    and is returned with the verdict.  It stops at the first h_K <= 0.  Every h_k > 0 (k < n): the
     form is positive definite.  h_K = 0 and sigma_{K,l} = 0 for
     l = K..2n-2-K: every entry up to the form's last one, t_{2n-2}, obeys
     the recurrence of pi_K, so the form is P^T H_K P with H_K positive
@@ -319,12 +331,9 @@ def _form_violation(t, depth: Optional[int] = None):
     itself.
     """
     n = (len(t) + 1) // 2
-    if t[0]:
-        a, b = t[0].numerator, t[0].denominator
-        r = next((r for r in range(1, n) if a * t[2 * r].numerator * t[r].denominator ** 2
-                  < b * t[r].numerator ** 2 * t[2 * r].denominator), None)
-        if r is not None:
-            return (0, r), None
+    bad = _first_step(t, n)
+    if bad is not None:
+        return bad, None
     table = _chebyshev(t, n - 1 if depth is None else depth)
     rows, dens = table[:2]
     K = next((k for k, row in enumerate(rows[:n]) if row[0] <= 0), None)
@@ -378,8 +387,8 @@ def _shifted_proven(table, N: int) -> bool:
 
 
 def _window_proven(s) -> bool:
-    """True when the table of ``_form_violation(s, n)``, n = (N + 1) // 2, proves
-    s_0..s_N the moments of a measure mu on [0, inf); False means "not proven".
+    """True when Chebyshev's table of s_0..s_N to row (N + 1) // 2 proves s_0..s_N
+    the moments of a measure mu on [0, inf); False means "not proven".
 
     Both Hankel forms positive definite (every h_k > 0 and q_1..q_n > 0,
     ``_pi_at_zero``): mu exists (Curto and Fialkow, Houston J. Math. 17, 1991).
@@ -389,14 +398,16 @@ def _window_proven(s) -> bool:
     multiple of pi_r of degree <= N, so L = G there (divide by pi_r); and
     det H'_r = det(V^T diag(x_i w_i) V) > 0 puts G's nodes x_i in (0, inf).
     For s = (t_{-K}, ..., t_hi), shift k holds the moments of x^{K-k} dmu, so
-    every shift is PSD.  q_n = 0 or q_r = 0 (an atom at 0) is not proven.
+    every shift is PSD.  q_n = 0 or q_r = 0 (an atom at 0) is not proven, nor
+    is a first h_r < 0 or a first h_r = 0 with a nonzero sigma row; a witness
+    of the elimination's first step (``_first_step``) skips the table.
     """
     N = len(s) - 1
-    bad, table = _form_violation(s, (N + 1) // 2)
-    if bad is not None:
+    if _first_step(s, N // 2 + 1) is not None:
         return False
+    table = _chebyshev(s, (N + 1) // 2)
     rows = table[0]
-    r = next((k for k, row in enumerate(rows[:N // 2 + 1]) if not row[0]), None)
+    r = next((k for k, row in enumerate(rows[:N // 2 + 1]) if row[0] <= 0), None)
     return (r is None or not any(rows[r])) and all(x > 0 for x in _pi_at_zero(table, (N + 1) // 2))
 
 

@@ -83,12 +83,24 @@ def mul0(a: Scalar, b: Scalar) -> Scalar:
     return a * b
 
 
+def _digits(n: int) -> str:
+    """str(n) for an int of any size: past str(int)'s digit limit (4300 by default), str(Decimal(n))."""
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+        return str(decimal.Decimal(n))
+
+
 def format_struct(x) -> str:
     """Render a scalar for machine reports: rationals always as "p/q"."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError:  # past the int-to-str digit limit
+            return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
     if isinstance(x, int):
-        return f"{x}/1"
+        return f"{_digits(x)}/1"
     f = float(x)
     if math.isinf(f):
         return "inf" if f > 0 else "-inf"
@@ -98,7 +110,8 @@ def format_struct(x) -> str:
 def format_human(x) -> str:
     """Render a scalar for humans: "3/4", "1", "inf", or a float repr."""
     if isinstance(x, (Fraction, int)):
-        return str(x)
+        text = format_struct(x)
+        return text[:-2] if text.endswith("/1") else text
     f = float(x)
     if math.isinf(f):
         return "inf" if f > 0 else "-inf"

@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import List, Optional
 
-from .rationals import INF, Scalar, format_human, format_struct
+from .rationals import INF, ZERO, Scalar, format_human, format_struct
 
 
 class Verdict(str, Enum):
@@ -52,6 +53,9 @@ def check_le(cid: str, lhs: Scalar, rhs: Scalar, mode: str = "exact",
 
 def check_eq(cid: str, lhs: Scalar, rhs: Scalar, mode: str = "exact",
              tol: float = 1e-9, note: str = "") -> Check:
+    if mode == "exact" and isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+        ok = lhs == rhs
+        return Check(cid, "==", lhs, rhs, ok, ZERO if ok else rhs - lhs, note)
     if lhs == INF or rhs == INF:
         ok = lhs == rhs
         slack = INF
@@ -79,13 +83,11 @@ def witness_check(w) -> Check:
 
 
 def _render(value, machine: bool) -> object:
+    if isinstance(value, Fraction):
+        return format_struct(value) if machine else format_human(value)
     if value is None or value == "":
         return ""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (bool, str, int)):
         return value
     try:
         return format_struct(value) if machine else format_human(value)
@@ -128,8 +130,10 @@ class CertificateReport:
                 {
                     "id": c.cid,
                     "relation": c.relation,
-                    "lhs": _render(c.lhs, True),
-                    "rhs": _render(c.rhs, True),
+                    "lhs": (lhs := _render(c.lhs, True)),
+                    # an equal Fraction renders alike, and a large one is costly to render
+                    "rhs": (lhs if isinstance(c.lhs, Fraction) and isinstance(c.rhs, Fraction)
+                            and c.lhs == c.rhs else _render(c.rhs, True)),
                     "slack": _render(c.slack, True),
                     "passed": c.passed,
                     "note": c.note,

@@ -17,6 +17,7 @@ from treeshift import (
     parent_measure_from_child,
     root_measure_from_branches,
 )
+from treeshift.measures import moment_ratio_rule
 from conftest import DELTA1, DELTA2, random_measure
 
 HALF = Fraction(1, 2)
@@ -194,3 +195,81 @@ class TestMomentRatioRule:
         synthesized = make_branch_shift(2, 0, [mu, mu], [HALF, HALF])
         for v in [(i, j) for i in (1, 2) for j in range(1, 9)]:
             assert parsed.sq(v) == synthesized.sq(v)
+
+
+def _parent_float_moment(atoms, n):
+    """The moment loop of float measures, atom by atom, as the reports have always rendered it."""
+    if n < 0 and any(s == 0 for s, _ in atoms):
+        return INF
+    total = Fraction(0)
+    for s, w in atoms:
+        if n == 0:
+            total = total + w
+        elif s == 0:
+            continue
+        else:
+            total = total + w * s ** n
+    return total
+
+
+small_rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 9))
+
+
+@st.composite
+def exact_atom_lists(draw):
+    """1-6 input atoms, perhaps one at 0 and perhaps at coincident locations."""
+    locs = draw(st.lists(small_rationals, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        locs[draw(st.integers(0, len(locs) - 1))] = Fraction(0)
+    if len(locs) > 1 and draw(st.booleans()):
+        locs[-1] = locs[0]
+    return [(s, draw(small_rationals)) for s in locs]
+
+
+@given(exact_atom_lists(), st.lists(st.integers(-5, 80), min_size=1, max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_power_sum_table_matches_direct_sums(pairs, orders):
+    # the table extends in whatever order the moments are asked for
+    mu = AtomicMeasure.from_atoms(pairs)
+    has_zero = any(s == 0 for s, _ in pairs)
+    for n in orders:
+        want = INF if n < 0 and has_zero else sum(w * s ** n for s, w in pairs)
+        assert moments_of(mu, n) == want
+    if not has_zero:
+        rule = moment_ratio_rule(mu)
+        prod = Fraction(1)
+        for n in range(1, 21):
+            prod *= rule(n + 1)
+            assert prod == sum(w * s ** n for s, w in pairs) / sum(w for _, w in pairs)
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 20.0)), st.floats(0.01, 5.0)),
+                min_size=1, max_size=6),
+       st.lists(st.integers(-5, 80), min_size=1, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_float_moments_sum_atom_by_atom(pairs, orders):
+    mu = AtomicMeasure.from_atoms(pairs)
+    for n in orders:
+        got, want = mu.moment(n), _parent_float_moment(mu.atoms, n)
+        assert repr(got) == repr(want)
+
+
+def test_tilted_measures_rescale_exactly():
+    mu = AtomicMeasure.from_atoms([(Fraction(1, 3), Fraction(1, 4)), (2, Fraction(3, 4)), (5, 0)])
+    for n in range(6):
+        tilted = mu.tilted(n)
+        norm = mu.moment(n)
+        assert tilted == AtomicMeasure.from_atoms((s, w * s ** n / norm) for s, w in mu.atoms)
+    floats = AtomicMeasure.from_atoms([(0.001, 0.5), (3.0, 0.5)])
+    # a mass that underflows is dropped, as from_atoms drops it
+    assert floats.tilted(200).atoms == AtomicMeasure.from_atoms(
+        (s, w * s ** 200 / floats.moment(200)) for s, w in floats.atoms).atoms
+    assert len(floats.tilted(200).atoms) == 1
+
+
+def test_mass_lookup_across_scalar_types():
+    mu = AtomicMeasure.from_atoms([(Fraction(1, 2), Fraction(1, 4)), (2, Fraction(3, 4))])
+    assert mu.mass_at(0.5) == mu.mass_at("1/2") == mu.mass_at(Fraction(1, 2)) == Fraction(1, 4)
+    assert mu.mass_at(2) == mu.mass_at(2.0) == Fraction(3, 4)
+    assert mu.mass_at(3) == 0 and not mu.has_zero_atom()
+    assert AtomicMeasure.from_atoms([(0.0, 1.0)]).mass_at(0) == 1.0

@@ -600,6 +600,26 @@ def test_window_rhombus_decides_a_positive_definite_window():
     assert verdict.shifts_checked == tuple(range(11))
 
 
+def test_window_stopped_at_a_zero_pivot_is_refused_on_its_table():
+    # atoms 1/2 and 3 (masses 1 and 2) with t_0 raised by 10^-6: the longest shift's
+    # table stops at h_2 = 0 with a nonzero sigma row, which refuses the window proof
+    # without the O(r n^2) elimination; the per-shift loop then finds the witness
+    K = 60
+    values = [Fraction(1, 2) ** n + 2 * Fraction(3) ** n for n in range(-K, 21)]
+    values[K] += Fraction(1, 10 ** 6)
+    ts = TwoSidedMomentSequence(-K, tuple(values))
+    longest = ts.shifted(K).values
+    rows = _chebyshev(longest, (len(longest) + 1) // 2)[0]
+    assert len(rows) == 3 and rows[2][0] == 0 and any(rows[2])
+    with _without_elimination():
+        assert not _window_proven(longest)
+    verdict = two_sided_stieltjes_check(ts, K)
+    assert (verdict.kind, verdict.shifts_checked) == ("violated", (0, 1))
+    w = verdict.witness
+    assert (w.kind, w.indices, w.two_sided_shift) == ("hankel", (0, 1, 2), 1)
+    assert w.det == Fraction(-700000433, 8000000000000)
+
+
 def _bareiss_det(matrix):
     """sympy's Bareiss determinant, or None when sympy is not installed."""
     if importlib.util.find_spec("sympy") is None:

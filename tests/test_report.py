@@ -1,0 +1,116 @@
+"""Report rendering: the Fraction fast paths and rationals of any size."""
+
+import json
+from decimal import Decimal
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from treeshift import AtomicMeasure, certify_branch_tree, make_branch_shift
+from treeshift.cli import main
+from treeshift.rationals import INF, format_human, format_struct
+from treeshift.report import CertificateReport, Check, Verdict, check_eq
+
+DATA = Path(__file__).parent / "data"
+
+
+# -- reference copies of the report logic before the Fraction fast paths ----------
+
+
+def _reference_check_eq(cid, lhs, rhs, mode="exact", tol=1e-9, note=""):
+    if lhs == INF or rhs == INF:
+        ok = lhs == rhs
+        slack = INF
+    elif mode == "exact":
+        ok = lhs == rhs
+        slack = rhs - lhs
+    else:
+        ok = abs(float(lhs) - float(rhs)) <= tol * max(1.0, abs(float(rhs)))
+        slack = float(rhs) - float(lhs)
+    return Check(cid, "==", lhs, rhs, bool(ok), slack, note)
+
+
+def _reference_render(value, machine):
+    if value is None or value == "":
+        return ""
+    if isinstance(value, (bool, str, int)):
+        return value
+    try:
+        return format_struct(value) if machine else format_human(value)
+    except TypeError:
+        return str(value)
+
+
+def _reference_entry(c):
+    return {"id": c.cid, "relation": c.relation, "lhs": _reference_render(c.lhs, True),
+            "rhs": _reference_render(c.rhs, True), "slack": _reference_render(c.slack, True),
+            "passed": c.passed, "note": c.note}
+
+
+OPERANDS = {
+    "fraction": Fraction(3, 4),
+    "equal fraction": Fraction(6, 8),
+    "unequal fraction": Fraction(-5, 7),
+    "int": 2,
+    "float": 0.75,
+    "inf": INF,
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("lhs,rhs", list(product(OPERANDS, repeat=2)))
+def test_check_eq_and_its_entry_match_the_reference(lhs, rhs, mode):
+    a, b = OPERANDS[lhs], OPERANDS[rhs]
+    got, want = check_eq("c", a, b, mode), _reference_check_eq("c", a, b, mode)
+    assert got == want
+    assert type(got.slack) is type(want.slack)
+    report = CertificateReport("parity", Verdict.CERTIFIED, mode, [got])
+    assert report.to_struct()["checks"] == [_reference_entry(want)]
+    assert report.to_text() == CertificateReport("parity", Verdict.CERTIFIED, mode, [want]).to_text()
+
+
+BIG = 10 ** 5000 + 7
+
+
+@pytest.mark.parametrize("value,struct,human", [
+    (BIG, f"1{'0' * 4999}7/1", f"1{'0' * 4999}7"),
+    (-BIG, f"-1{'0' * 4999}7/1", f"-1{'0' * 4999}7"),
+    (Fraction(-BIG), f"-1{'0' * 4999}7/1", f"-1{'0' * 4999}7"),
+    (Fraction(1, BIG), f"1/1{'0' * 4999}7", f"1/1{'0' * 4999}7"),
+    (Fraction(BIG, 3), f"1{'0' * 4999}7/3", f"1{'0' * 4999}7/3"),
+], ids=["int", "negative int", "integral fraction", "huge denominator", "huge numerator"])
+def test_renderers_take_integers_past_the_digit_limit(value, struct, human):
+    assert format_struct(value) == struct
+    assert format_human(value) == human
+
+
+def _parse_big(text):
+    """A "p/q" string of any size back to a Fraction (int(str) has the digit limit, int(Decimal) not)."""
+    p, _, q = text.partition("/")
+    return Fraction(int(Decimal(p)), int(Decimal(q or "1")))
+
+
+def test_reports_render_moments_of_any_size():
+    # (29/4)^3000 has a numerator of about 14,600 bits, past str(int)'s default 4300 digits
+    mus = [AtomicMeasure.point_mass(1), AtomicMeasure.point_mass(Fraction(29, 4))]
+    shift = make_branch_shift(2, 1, mus, [Fraction(1, 2), 1], [1])
+    report = certify_branch_tree(shift, mus, 3000)
+    entry = {c["id"]: c for c in json.loads(report.to_json())["checks"]}["zgod0[2,3000]"]
+    assert _parse_big(entry["lhs"]) == _parse_big(entry["rhs"]) == Fraction(29, 4) ** 3000
+    assert "zgod0[2,3000]: " in report.to_text()
+
+
+def test_cli_certifies_a_document_with_moments_of_any_size(capsys, tmp_path):
+    # tests/data/a3.json with the atom 2/1 moved to 29/4, certified to depth 3000
+    doc = json.loads((DATA / "a3.json").read_text().replace('"2/1"', '"29/4"'))
+    assert doc["measures"][1] == {"atoms": [["29/4", "1/1"]]}
+    doc["depth"] = 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for fmt in ("text", "struct"):
+        code = main(["certify", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code in (0, 1), captured.err
+        assert captured.err == ""
