@@ -165,9 +165,16 @@ def cmd_moments_carleman(args) -> int:
     return 0
 
 
+# the listing has eta * depth + kappa edges: --eta 2 --kappa 1 takes 1.1 s at
+# depth 10^5 and 12 s at 10^6 (Python 3.11 on a 2-vCPU machine)
+MAX_GEN_DEPTH = 100000
+
+
 def cmd_tree_gen(args) -> int:
     from .trees import make_tree_eta_kappa
 
+    if args.depth > MAX_GEN_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_GEN_DEPTH}, got {args.depth}")
     kappa = KAPPA_INF if args.kappa == "inf" else int(args.kappa)
     tree = make_tree_eta_kappa(args.eta, kappa)
     start = tree.root if tree.root is not None else -args.depth

@@ -9,7 +9,9 @@ never claimed as computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -32,7 +34,7 @@ from .moments import (
     stieltjes_check,
     two_sided_stieltjes_check,
 )
-from .rationals import INF, ONE, ZERO, Scalar, format_human, is_exact, mul0
+from .rationals import INF, ONE, ZERO, Scalar, all_exact, format_human, is_exact, mul0
 from .report import (
     CertificateReport,
     Check,
@@ -60,12 +62,22 @@ DEFAULT_ELL = 25
 # (depth 20, Python 3.11 on a 2-vCPU machine)
 MAX_WINDOW = 1000
 
+# exact moments to depth N carry O(N) bits, so a certificate costs O(N^2): certify
+# on tests/data/a3.json takes 0.4 s at N = 3000, 1.7 s at N = 10000 and 8.5 s at
+# N = 20000 (a 124 MB report, 400 MB peak RSS; same machine)
+MAX_DEPTH = 10000
 
-def _require_nonnegative(**orders: int) -> None:
-    """Reject a negative depth, window or ancestor count before any check runs."""
+_CEILINGS = {"depth": MAX_DEPTH, "window": MAX_WINDOW}
+
+
+def _require_orders(**orders: int) -> None:
+    """Reject a negative depth, window or ancestor count, or one above its ceiling, before any check runs."""
     for name, value in orders.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
+    for name, value in orders.items():
+        if name in _CEILINGS and value > _CEILINGS[name]:
+            raise ValueError(f"{name} must be at most {_CEILINGS[name]}, got {value}")
 
 
 class _Checker:
@@ -93,7 +105,13 @@ class _Checker:
         self.checks.append(check_le(cid, lhs, rhs, self._mode_for(lhs, rhs), self.tol, note))
 
     def eq(self, cid, lhs, rhs, note=""):
-        self.checks.append(check_eq(cid, lhs, rhs, self._mode_for(lhs, rhs), self.tol, note))
+        exact = self.requested != "float" and is_exact(lhs) and is_exact(rhs)
+        mode = "exact" if exact else self._mode_for(lhs, rhs)
+        self.checks.append(check_eq(cid, lhs, rhs, mode, self.tol, note))
+
+    def holds(self, cid, value):
+        """Record the exact equality ``value == value``, decided by the caller."""
+        self.checks.append(Check(cid, "==", value, value, True, ZERO))
 
     def flag(self, cid, passed, note=""):
         self.checks.append(check_flag(cid, passed, note))
@@ -252,6 +270,69 @@ class ConsistentSystem:
         return self.eps.get(v, ZERO)
 
 
+def _exact_mass(mu: AtomicMeasure) -> Scalar:
+    """Total mass of an exact measure by one lcm-scaled integer sum."""
+    ratios = [w.as_integer_ratio() for _, w in mu.atoms]
+    den = math.lcm(*(d for _, d in ratios))
+    num = sum(n * (den // d) for n, d in ratios)
+    return ONE if num == den else Fraction(num, den)
+
+
+def _merged_rows(lists):
+    """Walk lists of (location, ...) tuples, each ascending: (a, the tuples at a) per location a.
+
+    Locations are compared by identity first: the measures of a built system
+    share their location objects, so the walk then compares no Fractions.
+    """
+    pos = [0] * len(lists)
+    while True:
+        a = None
+        for lst, i in zip(lists, pos):
+            if i < len(lst) and (a is None or (lst[i][0] is not a and lst[i][0] < a)):
+                a = lst[i][0]
+        if a is None:
+            return
+        row = []
+        for k, (lst, i) in enumerate(zip(lists, pos)):
+            if i < len(lst) and (lst[i][0] is a or lst[i][0] == a):
+                row.append(lst[i])
+                pos[k] = i + 1
+        yield a, row
+
+
+def _exact_recursion_checks(ck: _Checker, fu: str, mu_u: AtomicMeasure,
+                            kid_measures: Sequence[AtomicMeasure], sqs: Sequence[Fraction]) -> None:
+    """The muu+[u,a] checks of an exact vertex, decided by integer cross-products.
+
+    The atoms at a > 0 of mu_u and of the children, walked in ascending
+    order, give a * mu_u({a}) = sum_v sq(v) * mu_v({a}) over the product of
+    the terms' denominators, so no gcd is taken.  A passing check records
+    its lhs as the rhs (the two are equal); a failing one the rhs Fraction.
+    """
+    lists = [[(s, w, None, 0, 1) for s, w in mu_u.atoms if s]]
+    for e, mu_v in zip(sqs, kid_measures):
+        en, ed = e.as_integer_ratio()
+        lists.append([(s, w, e, en, ed) for s, w in mu_v.atoms if s])
+    for a, row in _merged_rows(lists):
+        lhs = ZERO
+        terms = []
+        num, den = 0, 1
+        for _, w, e, en, ed in row:
+            if e is None:
+                lhs = w
+            elif en:   # a zero weight contributes nothing (0 * inf = 0)
+                terms.append((e, w))
+                wn, wd = w.as_integer_ratio()
+                num, den = num * ed * wd + en * wn * den, den * ed * wd
+        an, ad = a.as_integer_ratio()
+        ln, ld = lhs.as_integer_ratio()
+        cid = f"muu+[{fu},{format_human(a)}]"
+        if an * ln * den == ad * ld * num:
+            ck.holds(cid, lhs)
+        else:
+            ck.eq(cid, lhs, sum((e * (w / a) for e, w in terms), ZERO))
+
+
 def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
                              depth: Optional[int] = None, mode: str = "auto",
                              tol: float = 1e-9) -> CertificateReport:
@@ -263,6 +344,16 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
     that each mu_u is a probability measure.  When a strict ``depth`` is
     given (rooted trees), missing children inside the depth are an error
     rather than a silent skip.
+
+    Exact data is decided in integers: mass[u] by one lcm-scaled sum of the
+    masses, and muu+[u,a] by the cross-product a_num * l_num * D ==
+    a_den * l_den * N, where mu_u({a}) = l_num / l_den, a = a_num / a_den
+    and N / D is sum_v sq(v) * mu_v({a}) over the product D of the terms'
+    denominators.  A passing check records its lhs as its rhs: the two are
+    equal, so the report renders the same text and slack 0/1 without the
+    normalised Fraction ever being formed.  A failing check builds its true
+    rhs.  Float data, or float mode, takes the atom-by-atom Fraction/float
+    loop instead.
     """
     tree = shift.tree
     ck = _Checker(mode, tol)
@@ -279,22 +370,28 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
             skipped += 1
             continue
         fu = format_vertex(u)
-        ck.eq(f"mass[{fu}]", mu_u.moment(0), ONE)
-        locations = {s for s, _ in mu_u.atoms if s != 0}
-        for v in kids:
-            mu_v = system.mu[v]
+        exact = ck.requested != "float" and mu_u.is_exact()
+        ck.eq(f"mass[{fu}]", _exact_mass(mu_u) if exact else mu_u.moment(0), ONE)
+        kid_measures = [system.mu[v] for v in kids]
+        for v, mu_v in zip(kids, kid_measures):
             if mu_v.has_zero_atom() and shift.sq(v) != 0:
                 raise ZeroAtomInChildError(v)
-            locations.update(s for s, _ in mu_v.atoms if s != 0)
-        for a in sorted(locations):
-            rhs = ZERO
-            for v in kids:
-                rhs = rhs + mul0(shift.sq(v), system.mu[v].mass_at(a) / a)
-            ck.eq(f"muu+[{fu},{format_human(a)}]", mu_u.mass_at(a), rhs)
+        # a weight is read only when some positive location needs it
+        located = any(s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms)
+        sqs = [shift.sq(v) for v in kids] if located else []
+        if exact and all_exact(sqs) and all(mu_v.is_exact() for mu_v in kid_measures):
+            _exact_recursion_checks(ck, fu, mu_u, kid_measures, sqs)
+        else:
+            locations = {s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms if s != 0}
+            for a in sorted(locations):
+                rhs = ZERO
+                for e, mu_v in zip(sqs, kid_measures):
+                    rhs = rhs + mul0(e, mu_v.mass_at(a) / a)
+                ck.eq(f"muu+[{fu},{format_human(a)}]", mu_u.mass_at(a), rhs)
         eps_u = system.eps_at(u)
         if eps_u < 0:
             ck.flag(f"eps[{fu}]", False, f"defect {format_human(eps_u)} is negative")
-        ck.eq(f"muu+[{fu},0]", mu_u.mass_at(0), eps_u)
+        ck.eq(f"muu+[{fu},0]", mu_u.mass_at(ZERO), eps_u)
     notes = []
     if skipped:
         notes.append(f"{skipped} boundary vertices skipped (children outside the system)")
@@ -326,6 +423,7 @@ def certify_unilateral(shift: WeightedShift, N: int,
     built and the measure recursion re-verified, closing the loop on the
     sufficiency criterion.
     """
+    _require_orders(depth=N)
     tree = shift.tree
     if not tree.is_rooted:
         raise WrongTreeShapeError("unilateral criterion needs a rooted chain")
@@ -378,9 +476,7 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     -n+1..0), runs the shifted Hankel checks for every k <= K, and verifies
     the shift identity t_{n-k} = t_{-k} * ||S^n e_{-k}||^2 exactly.
     """
-    _require_nonnegative(window=K, depth=N)
-    if K > MAX_WINDOW:
-        raise ValueError(f"window must be at most {MAX_WINDOW}, got {K}")
+    _require_orders(window=K, depth=N)
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("two-sided criterion needs a rootless chain")
@@ -441,6 +537,7 @@ def _case_for_kappa(kappa) -> str:
 
 def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
                   measures: Sequence[AtomicMeasure], N: int) -> None:
+    exact = ck.requested != "float"
     for i, (entry, mu) in enumerate(zip(frame.entries, measures), 1):
         ray = _single_child_path(shift, entry, N)
         if len(ray) <= N:
@@ -449,8 +546,17 @@ def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
             )
         prod = ONE
         for n in range(1, N + 1):
-            prod = prod * shift.sq(ray[n])
-            ck.eq(f"zgod0[{i},{n}]", moments_of(mu, n), prod)
+            e = shift.sq(ray[n])
+            m = moments_of(mu, n)
+            # a passing check leaves prod = m, so m == prod * e is decided by cross-multiplying
+            if (exact and is_exact(m) and is_exact(e) and is_exact(prod)
+                    and m.numerator * prod.denominator * e.denominator
+                    == m.denominator * prod.numerator * e.numerator):
+                ck.holds(f"zgod0[{i},{n}]", m)
+                prod = m
+            else:
+                prod = prod * e
+                ck.eq(f"zgod0[{i},{n}]", m, prod)
 
 
 def _entry_sum(shift: WeightedShift, frame: BranchFrame,
@@ -472,7 +578,7 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     the stem equalities for l below the stem length, and the final
     inequality (widly1'); infinite stem -> equalities for l up to ell_max.
     """
-    _require_nonnegative(depth=N)
+    _require_orders(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
@@ -521,7 +627,7 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
     the measure identity s^kappa dnu = P * sum_i sq_i (1/s) dmu_i atom by
     atom (probp).
     """
-    _require_nonnegative(depth=N)
+    _require_orders(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex")
@@ -630,6 +736,7 @@ def build_branch_tree_system(shift: WeightedShift,
     failing condition id) when the case premises do not hold, since the
     construction is only valid then.
     """
+    _require_orders(depth=depth)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex")
@@ -681,6 +788,7 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
     hold, and checks the consistency condition at the branching vertex and
     every stem vertex.  Recovery failure degrades to Inconclusive.
     """
+    _require_orders(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex")
@@ -756,7 +864,7 @@ def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
     union of those descendant sets over all k covers the whole tree, so the
     aggregate is the window-bounded form of the subtree equivalence.
     """
-    _require_nonnegative(k_max=k_max)
+    _require_orders(k_max=k_max, depth=N)
     if k_max == 0:
         raise ValueError("k_max must be at least 1, got 0")
     tree = shift.tree

@@ -131,9 +131,10 @@ class CertificateReport:
                     "id": c.cid,
                     "relation": c.relation,
                     "lhs": (lhs := _render(c.lhs, True)),
-                    # an equal Fraction renders alike, and a large one is costly to render
-                    "rhs": (lhs if isinstance(c.lhs, Fraction) and isinstance(c.rhs, Fraction)
-                            and c.lhs == c.rhs else _render(c.rhs, True)),
+                    # the same value or an equal Fraction renders alike, and a large one is costly to render
+                    "rhs": (lhs if c.rhs is c.lhs
+                            or (isinstance(c.lhs, Fraction) and isinstance(c.rhs, Fraction) and c.lhs == c.rhs)
+                            else _render(c.rhs, True)),
                     "slack": _render(c.slack, True),
                     "passed": c.passed,
                     "note": c.note,

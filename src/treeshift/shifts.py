@@ -91,7 +91,10 @@ class WeightSystem:
         return cls(sq_fn, zero_policy=zero_policy)
 
     def sq(self, v) -> Scalar:
-        value = as_scalar(self._sq_fn(v))
+        value = self._sq_fn(v)
+        if isinstance(value, Fraction) and value.numerator > 0:
+            return value
+        value = as_scalar(value)
         if value < 0:
             raise ValueError(f"squared weight at {v!r} is negative")
         if value == 0 and self.zero_policy == NONZERO_REQUIRED:

@@ -431,6 +431,43 @@ class TestWindowCeiling:
         assert code == 0
 
 
+class TestDepthCeiling:
+    """A depth beyond its ceiling is an input error, from the flag or the document, not a hang."""
+
+    def _rejects(self, capsys, *argv, limit, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: depth must be at most {limit}, got {value}\n"
+
+    def test_certify_flag_above_ceiling(self, capsys):
+        self._rejects(capsys, "certify", str(DATA / "a3.json"), "--depth", str(10 ** 12),
+                      limit=10000, value=10 ** 12)
+
+    def test_certify_document_above_ceiling(self, capsys, tmp_path):
+        doc = {**json.loads((DATA / "a3.json").read_text()), "depth": 10 ** 30}
+        self._rejects(capsys, "certify", _write(tmp_path, "deep.json", doc), limit=10000, value=10 ** 30)
+
+    def test_necessary_and_chain_above_ceiling(self, capsys):
+        self._rejects(capsys, "certify", str(DATA / "a3.json"), "--necessary", "--depth", "10001",
+                      limit=10000, value=10001)
+        self._rejects(capsys, "certify", str(DATA / "edge_chain.json"), "--depth", "10001",
+                      limit=10000, value=10001)
+
+    def test_reduce_flag_above_ceiling(self, capsys):
+        self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--depth", "10001",
+                      limit=10000, value=10001)
+
+    def test_tree_gen_above_ceiling(self, capsys):
+        self._rejects(capsys, "tree", "gen", "--eta", "2", "--kappa", "1", "--depth", str(10 ** 8),
+                      limit=100000, value=10 ** 8)
+
+    def test_tree_gen_at_ceiling_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "tree", "gen", "--eta", "2", "--kappa", "0", "--depth", "100000",
+                               "--format", "struct")
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == 200000
+
+
 def test_exact_paths_do_not_load_numpy(tmp_path):
     import treeshift
 

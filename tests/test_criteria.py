@@ -294,6 +294,31 @@ class TestEquivalenceRoundtrip:
             assert report.passed == (scale <= 1)
 
 
+class TestDepthCeiling:
+    def test_branch_tree_at_ceiling_certifies(self, a3_shift, a3_measures):
+        from treeshift.criteria import MAX_DEPTH
+
+        assert certify_branch_tree(a3_shift, a3_measures, MAX_DEPTH).passed
+
+    def test_every_criterion_rejects_depth_above_ceiling(self, a3_shift, a3_measures, ones_chain,
+                                                         ones_bilateral):
+        from treeshift.criteria import MAX_DEPTH
+
+        N = MAX_DEPTH + 1
+        calls = [
+            lambda: certify_branch_tree(a3_shift, a3_measures, N),
+            lambda: certify_branch_tree_root_measure(a3_shift, a3_measures, DELTA1, N),
+            lambda: build_branch_tree_system(a3_shift, a3_measures, N),
+            lambda: necessary_checks_determinate(a3_shift, N, 2),
+            lambda: certify_unilateral(ones_chain, N),
+            lambda: certify_bilateral(ones_bilateral, 1, N),
+            lambda: reduce_rootless(ones_bilateral, 0, 1, N),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^depth must be at most {MAX_DEPTH}, got {N}$"):
+                call()
+
+
 class TestBuildSystem:
     def test_no_stem_defect(self, kappa0_shift, a3_measures):
         system = build_branch_tree_system(kappa0_shift, a3_measures, depth=5)

@@ -167,6 +167,23 @@ class TestWeightSystems:
         with pytest.raises(ZeroWeightError):
             ws.sq(1)
 
+    @pytest.mark.parametrize("value", [Fraction(-1, 3), -1, -0.5])
+    def test_negative_rule_value_rejected(self, value):
+        ws = WeightSystem.from_rule(lambda v: value)
+        with pytest.raises(ValueError, match="squared weight at 1 is negative"):
+            ws.sq(1)
+
+    @pytest.mark.parametrize("value", [Fraction(0), 0, 0.0])
+    def test_zero_rule_value_rejected(self, value):
+        ws = WeightSystem.from_rule(lambda v: value)
+        with pytest.raises(ZeroWeightError):
+            ws.sq(1)
+
+    def test_positive_fraction_returned_as_is(self):
+        value = Fraction(7, 3)
+        assert WeightSystem.from_rule(lambda v: value).sq(1) is value
+        assert WeightSystem.from_rule(lambda v: 2).sq(1) == Fraction(2)
+
     def test_zero_weight_allowed_when_opted_in(self):
         from treeshift.shifts import ALLOW_ZERO
 
