@@ -14,6 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .criteria import (
+    DEFAULT_ELL,
+    _require_orders,
     branch_frame,
     certify_bilateral,
     certify_branch_tree,
@@ -81,7 +83,7 @@ def cmd_certify(args) -> int:
         raise InstanceError("$", "certify needs a tree and weights")
     depth = args.depth if args.depth is not None else inst.params.get("depth", 20)
     window = args.window if args.window is not None else inst.params.get("window", 10)
-    ell = args.ell if args.ell is not None else inst.params.get("ell", 25)
+    ell = args.ell if args.ell is not None else inst.params.get("ell", DEFAULT_ELL)
     m_max = args.m_max if args.m_max is not None else inst.params.get("m_max", 4)
     case = args.case if args.case != "auto" else inst.params.get("case", "auto")
     mode = inst.mode
@@ -120,6 +122,7 @@ def cmd_moments_compute(args) -> int:
     if inst.shift is None:
         raise InstanceError("$", "moments compute needs a tree and weights")
     vertex = parse_vertex(args.vertex)
+    _require_orders(upto=args.upto)
     t = moment_sequence(inst.shift, vertex, args.upto)
     rendered = ", ".join(format_human(v) for v in t.values)
     sys.stdout.write(f"({rendered})\n")
@@ -213,7 +216,7 @@ def cmd_reduce(args) -> int:
     report = reduce_rootless(
         inst.shift, base, k_max, depth,
         branch_measures=inst.branch_measures or None,
-        m_max=args.m_max, ell_max=args.ell if args.ell is not None else 25,
+        m_max=args.m_max, ell_max=args.ell if args.ell is not None else DEFAULT_ELL,
         mode=inst.mode, tol=args.tol,
     )
     return _emit(report, args)

@@ -34,7 +34,7 @@ from .moments import (
     stieltjes_check,
     two_sided_stieltjes_check,
 )
-from .rationals import INF, ONE, ZERO, Scalar, all_exact, format_human, is_exact, mul0
+from .rationals import INF, ONE, ZERO, Scalar, format_human, is_exact, mul0
 from .report import (
     CertificateReport,
     Check,
@@ -67,11 +67,20 @@ MAX_WINDOW = 1000
 # N = 20000 (a 124 MB report, 400 MB peak RSS; same machine)
 MAX_DEPTH = 10000
 
-_CEILINGS = {"depth": MAX_DEPTH, "window": MAX_WINDOW}
+# certify_bilateral's (K + 1)(N + 1) shift identities carry O(N)-bit values: on
+# tests/data/bilateral.json it takes 5.0 s (318 MB peak RSS) at K = 1, N = 9999 and
+# 20 s (1.2 GB) at K = 10, N = 10000.  reduce there takes 1.0 s at k_max = 1000 and
+# 2.3 s at 3000 (depth 20); moments compute on tests/data/a3.json at vertex 0 takes
+# 1.4 s (78 MB) at upto = 10000 and 7.2 s (250 MB) at 20000 (same machine)
+MAX_SHIFT_IDENTITIES = 25000
+MAX_K_MAX = 1000
+MAX_UPTO = 10000
+
+_CEILINGS = {"depth": MAX_DEPTH, "window": MAX_WINDOW, "k_max": MAX_K_MAX, "upto": MAX_UPTO}
 
 
 def _require_orders(**orders: int) -> None:
-    """Reject a negative depth, window or ancestor count, or one above its ceiling, before any check runs."""
+    """Reject a negative order (depth, window, ancestor count, upto), or one above its ceiling, before any check runs."""
     for name, value in orders.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -109,9 +118,36 @@ class _Checker:
         mode = "exact" if exact else self._mode_for(lhs, rhs)
         self.checks.append(check_eq(cid, lhs, rhs, mode, self.tol, note))
 
-    def holds(self, cid, value):
-        """Record the exact equality ``value == value``, decided by the caller."""
-        self.checks.append(Check(cid, "==", value, value, True, ZERO))
+    def eq_sum(self, cid, lhs, terms, d=ONE):
+        """Check lhs == sum of e * x / d over the (e, x) ``terms``; return the rhs recorded.
+
+        Exact operands are decided as lhs * d * D == N, with N / D the sum of
+        e * x over the product D of the terms' denominators (no gcd), and a
+        passing check records its lhs as its rhs, which renders as the equal
+        normalised rhs would.  Otherwise rhs = sum of e * (x / d) goes to ``eq``.
+        """
+        if self.requested != "float" and type(lhs) is Fraction and type(d) is Fraction:
+            num, den = 0, 1
+            for e, x in terms:
+                if type(e) is not Fraction or type(x) is not Fraction:
+                    break
+                en, ed = e.as_integer_ratio()
+                xn, xd = x.as_integer_ratio()
+                tn, td = en * xn, ed * xd
+                num, den = (num * td + tn * den, den * td) if num else (tn, td)
+            else:
+                ln, ld = lhs.as_integer_ratio()
+                if d is not ONE:
+                    dn, dd = d.as_integer_ratio()
+                    ln, ld = ln * dn, ld * dd
+                if ln * den == ld * num:
+                    self.checks.append(Check(cid, "==", lhs, lhs, True, ZERO))
+                    return lhs
+        rhs = ZERO
+        for e, x in terms:
+            rhs = rhs + e * (x / d)
+        self.eq(cid, lhs, rhs)
+        return rhs
 
     def flag(self, cid, passed, note=""):
         self.checks.append(check_flag(cid, passed, note))
@@ -300,39 +336,6 @@ def _merged_rows(lists):
         yield a, row
 
 
-def _exact_recursion_checks(ck: _Checker, fu: str, mu_u: AtomicMeasure,
-                            kid_measures: Sequence[AtomicMeasure], sqs: Sequence[Fraction]) -> None:
-    """The muu+[u,a] checks of an exact vertex, decided by integer cross-products.
-
-    The atoms at a > 0 of mu_u and of the children, walked in ascending
-    order, give a * mu_u({a}) = sum_v sq(v) * mu_v({a}) over the product of
-    the terms' denominators, so no gcd is taken.  A passing check records
-    its lhs as the rhs (the two are equal); a failing one the rhs Fraction.
-    """
-    lists = [[(s, w, None, 0, 1) for s, w in mu_u.atoms if s]]
-    for e, mu_v in zip(sqs, kid_measures):
-        en, ed = e.as_integer_ratio()
-        lists.append([(s, w, e, en, ed) for s, w in mu_v.atoms if s])
-    for a, row in _merged_rows(lists):
-        lhs = ZERO
-        terms = []
-        num, den = 0, 1
-        for _, w, e, en, ed in row:
-            if e is None:
-                lhs = w
-            elif en:   # a zero weight contributes nothing (0 * inf = 0)
-                terms.append((e, w))
-                wn, wd = w.as_integer_ratio()
-                num, den = num * ed * wd + en * wn * den, den * ed * wd
-        an, ad = a.as_integer_ratio()
-        ln, ld = lhs.as_integer_ratio()
-        cid = f"muu+[{fu},{format_human(a)}]"
-        if an * ln * den == ad * ld * num:
-            ck.holds(cid, lhs)
-        else:
-            ck.eq(cid, lhs, sum((e * (w / a) for e, w in terms), ZERO))
-
-
 def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
                              depth: Optional[int] = None, mode: str = "auto",
                              tol: float = 1e-9) -> CertificateReport:
@@ -345,15 +348,10 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
     given (rooted trees), missing children inside the depth are an error
     rather than a silent skip.
 
-    Exact data is decided in integers: mass[u] by one lcm-scaled sum of the
-    masses, and muu+[u,a] by the cross-product a_num * l_num * D ==
-    a_den * l_den * N, where mu_u({a}) = l_num / l_den, a = a_num / a_den
-    and N / D is sum_v sq(v) * mu_v({a}) over the product D of the terms'
-    denominators.  A passing check records its lhs as its rhs: the two are
-    equal, so the report renders the same text and slack 0/1 without the
-    normalised Fraction ever being formed.  A failing check builds its true
-    rhs.  Float data, or float mode, takes the atom-by-atom Fraction/float
-    loop instead.
+    mass[u] of exact data is one lcm-scaled integer sum (``_exact_mass``).
+    The atoms of mu_u and of the children are walked together in ascending
+    order (``_merged_rows``), and each muu+[u,a] is ``_Checker.eq_sum`` of
+    mu_u({a}) against the terms sq(v) * mu_v({a}) over d = a.
     """
     tree = shift.tree
     ck = _Checker(mode, tol)
@@ -379,15 +377,19 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
         # a weight is read only when some positive location needs it
         located = any(s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms)
         sqs = [shift.sq(v) for v in kids] if located else []
-        if exact and all_exact(sqs) and all(mu_v.is_exact() for mu_v in kid_measures):
-            _exact_recursion_checks(ck, fu, mu_u, kid_measures, sqs)
-        else:
-            locations = {s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms if s != 0}
-            for a in sorted(locations):
-                rhs = ZERO
-                for e, mu_v in zip(sqs, kid_measures):
-                    rhs = rhs + mul0(e, mu_v.mass_at(a) / a)
-                ck.eq(f"muu+[{fu},{format_human(a)}]", mu_u.mass_at(a), rhs)
+        # rows of (s, mu_u({s}), None) and (s, None, (sq(v), mu_v({s}))); a zero weight
+        # keeps its child's locations but contributes no term (0 * inf = 0)
+        lists = [[(s, w, None) for s, w in mu_u.atoms if s]]
+        for e, mu_v in zip(sqs, kid_measures):
+            lists.append([(s, None, (e, w) if e else None) for s, w in mu_v.atoms if s])
+        for a, row in _merged_rows(lists):
+            lhs, terms = ZERO, []
+            for _, w, term in row:
+                if w is not None:
+                    lhs = w
+                elif term is not None:
+                    terms.append(term)
+            ck.eq_sum(f"muu+[{fu},{format_human(a)}]", lhs, terms, a)
         eps_u = system.eps_at(u)
         if eps_u < 0:
             ck.flag(f"eps[{fu}]", False, f"defect {format_human(eps_u)} is negative")
@@ -477,6 +479,9 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     the shift identity t_{n-k} = t_{-k} * ||S^n e_{-k}||^2 exactly.
     """
     _require_orders(window=K, depth=N)
+    if (K + 1) * (N + 1) > MAX_SHIFT_IDENTITIES:
+        raise ValueError(f"(window + 1) * (depth + 1) must be at most {MAX_SHIFT_IDENTITIES}, "
+                         f"got {(K + 1) * (N + 1)}")
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("two-sided criterion needs a rootless chain")
@@ -505,7 +510,7 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     for k in range(K + 1):
         ms = moment_sequence(shift, chain[K - k], N)
         for n in range(N + 1):
-            ck.eq(f"tshift[{k},{n}]", values[n - k], values[-k] * ms[n])
+            ck.eq_sum(f"tshift[{k},{n}]", values[n - k], ((values[-k], ms[n]),))
 
     notes = [f"all k <= {K} verified; the criterion quantifies over infinitely many k"]
     rep = None
@@ -537,7 +542,7 @@ def _case_for_kappa(kappa) -> str:
 
 def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
                   measures: Sequence[AtomicMeasure], N: int) -> None:
-    exact = ck.requested != "float"
+    """zgod0[i,n]: m_n(mu_i) == sq(ray_i[n]) times the rhs recorded at n - 1, by ``_Checker.eq_sum``."""
     for i, (entry, mu) in enumerate(zip(frame.entries, measures), 1):
         ray = _single_child_path(shift, entry, N)
         if len(ray) <= N:
@@ -546,17 +551,7 @@ def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
             )
         prod = ONE
         for n in range(1, N + 1):
-            e = shift.sq(ray[n])
-            m = moments_of(mu, n)
-            # a passing check leaves prod = m, so m == prod * e is decided by cross-multiplying
-            if (exact and is_exact(m) and is_exact(e) and is_exact(prod)
-                    and m.numerator * prod.denominator * e.denominator
-                    == m.denominator * prod.numerator * e.numerator):
-                ck.holds(f"zgod0[{i},{n}]", m)
-                prod = m
-            else:
-                prod = prod * e
-                ck.eq(f"zgod0[{i},{n}]", m, prod)
+            prod = ck.eq_sum(f"zgod0[{i},{n}]", moments_of(mu, n), ((shift.sq(ray[n]), prod),))
 
 
 def _entry_sum(shift: WeightedShift, frame: BranchFrame,

@@ -411,16 +411,17 @@ def _window_proven(s) -> bool:
     return (r is None or not any(rows[r])) and all(x > 0 for x in _pi_at_zero(table, (N + 1) // 2))
 
 
-def _witness_from_indices(kind, matrix, indices, shift=None) -> HankelWitness:
-    """The witness on the principal minor ``indices`` of ``matrix``, its determinant re-verified.
+def _witness_from_indices(kind, values, offset: int, indices, shift=None) -> HankelWitness:
+    """The witness on the principal minor ``indices`` of (values[i + j + offset]), its det re-verified.
 
-    A leading minor {0..k-1} of a Hankel form is the Hankel matrix of its own
+    Only the minor's |indices|^2 entries are read, never the whole form.  A
+    leading minor {0..k-1} of a Hankel form is the Hankel matrix of its own
     entries s_0..s_{2k-2}, and ``_wall_det`` takes its determinant from their
     quotient-difference rhombus; any other minor, or a rhombus that meets a
     zero divisor, goes to ``det_exact``.  Neither shares code with Chebyshev's
     table or the elimination that found the witness.
     """
-    sub = tuple(tuple(matrix[r][c] for c in indices) for r in indices)
+    sub = tuple(tuple(values[r + c + offset] for c in indices) for r in indices)
     det = None
     if tuple(indices) == tuple(range(len(sub))):
         det = _wall_det(sub[0] + tuple(row[-1] for row in sub[1:]))
@@ -492,12 +493,11 @@ def _violation(values, arith: str, tol: float, shifted: bool = True) -> Optional
     if arith == "exact":
         bad, table = _form_violation(values, (N + 1) // 2)
         if bad is not None:
-            return _witness_from_indices("hankel", hankel_matrix(values, 0, N // 2 + 1), bad)
+            return _witness_from_indices("hankel", values, 0, bad)
         if shifted and N >= 1 and not _shifted_proven(table, N):
             bad, _ = _form_violation(values[1:])
             if bad is not None:
-                matrix = hankel_matrix(values, 1, (N + 1) // 2)
-                return _witness_from_indices("hankel_shifted", matrix, bad)
+                return _witness_from_indices("hankel_shifted", values, 1, bad)
         return None
     values = tuple(to_float(v, f"t_{i}") for i, v in enumerate(values))
     forms = (("hankel", 0), ("hankel_shifted", 1)) if shifted and N >= 1 else (("hankel", 0),)

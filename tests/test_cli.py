@@ -492,3 +492,35 @@ def test_exact_paths_do_not_load_numpy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+class TestOrderCeilings:
+    """upto, k_max and the bilateral (window + 1) * (depth + 1) have ceilings too: exit 3, not a hang."""
+
+    def _rejects(self, capsys, *argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
+    def test_moments_compute_upto_above_ceiling(self, capsys):
+        self._rejects(capsys, "moments", "compute", str(DATA / "a3.json"), "--vertex", "0",
+                      "--upto", str(10 ** 11), message=f"upto must be at most 10000, got {10 ** 11}")
+
+    def test_reduce_kmax_above_ceiling(self, capsys, tmp_path):
+        self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", str(10 ** 9), "--depth", "5",
+                      message=f"k_max must be at most 1000, got {10 ** 9}")
+        doc = {**json.loads((DATA / "bilateral.json").read_text()), "k_max": 1001}
+        self._rejects(capsys, "reduce", _write(tmp_path, "far.json", doc),
+                      message="k_max must be at most 1000, got 1001")
+
+    def test_bilateral_shift_identities_above_ceiling(self, capsys):
+        # each bound alone allows K = 1000 with N = 10000: ten million O(N)-bit identities
+        self._rejects(capsys, "certify", str(DATA / "bilateral.json"), "--window", "1000", "--depth", "10000",
+                      message="(window + 1) * (depth + 1) must be at most 25000, got 10011001")
+        self._rejects(capsys, "certify", str(DATA / "bilateral.json"), "--window", "999", "--depth", "25",
+                      message="(window + 1) * (depth + 1) must be at most 25000, got 26000")
+
+    def test_bilateral_at_joint_ceiling_runs(self, capsys):
+        code, _, _ = run_cli(capsys, "certify", str(DATA / "bilateral.json"), "--window", "999",
+                             "--depth", "24", "--format", "struct")
+        assert code == 0

@@ -379,7 +379,7 @@ def _eliminate_both_forms(values, shift=None):
         matrix = hankel_matrix(values, offset, size)
         bad = psd_violation_exact(matrix)
         if bad is not None:
-            return _witness_from_indices(kind, matrix, bad, shift)
+            return _witness_from_indices(kind, values, offset, bad, shift)
     return None
 
 
@@ -643,7 +643,7 @@ def test_det_exact_on_hankel_witnesses():
     c = [math.prod(math.factorial(i) for i in range(n)) for n in range(19)]
     assert det_exact(hilbert) == Fraction(c[9] ** 4, c[18])
     assert det_exact([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
-    assert _witness_from_indices("hankel", [[1, 2], [2, 1]], (0, 1)).det == -3
+    assert _witness_from_indices("hankel", [1, 2, 1], 0, (0, 1)).det == -3
 
 
 def test_odd_stop_needs_a_recurrence_without_constant_term():
@@ -700,7 +700,7 @@ def test_table_decides_each_form_like_the_elimination(values):
         assert _form_violation(values[offset:])[0] == want
         if want is not None:
             sub = [[matrix[r][c] for c in want] for r in want]
-            det = _witness_from_indices(kind, matrix, want).det
+            det = _witness_from_indices(kind, values, offset, want).det
             assert det == det_exact(sub) and _bareiss_det(sub) in (None, det)
 
 
@@ -765,9 +765,30 @@ def test_wall_det_through_negative_entries_and_zero_divisors():
     s = [Fraction(x) for x in (1, 1, 1, 0, 1)]
     assert _wall_det(s) is None
     matrix = hankel_matrix(s, 0, 3)
-    assert _witness_from_indices("hankel", matrix, (0, 1, 2)).det == det_exact(matrix) == -1
+    assert _witness_from_indices("hankel", s, 0, (0, 1, 2)).det == det_exact(matrix) == -1
     with mock.patch.object(moments, "det_exact", side_effect=AssertionError):
-        assert _witness_from_indices("hankel", hankel_matrix([1, 2, 1], 0, 2), (0, 1)).det == -3
+        assert _witness_from_indices("hankel", [1, 2, 1], 0, (0, 1)).det == -3
+
+
+def _lowered(n, k):
+    t = [Fraction(1, j + 1) for j in range(n + 1)]
+    t[k] -= Fraction(1, 10 ** 9)
+    return t
+
+
+@pytest.mark.parametrize("t, kind, size", [
+    ([1, 2, 1], "hankel", 2),                                             # the first step
+    (_lowered(40, 36), "hankel", 14),                                     # a Schur-diagonal minor
+    ([Fraction(1, n + 1) + Fraction(1, 10) * Fraction(-1, 2) ** n for n in range(41)],
+     "hankel_shifted", 2),                                                # the shifted form
+])
+def test_exact_witness_reads_only_its_minor(t, kind, size):
+    # the witness minor is read from the sequence by index, so no Hankel matrix of the
+    # whole form is built: at depth 10^4 that matrix took seconds and hundreds of MB
+    want = stieltjes_check(t).witness
+    assert (want.kind, len(want.indices)) == (kind, size)
+    with mock.patch.object(moments, "hankel_matrix", side_effect=AssertionError("whole form built")):
+        assert stieltjes_check(t).witness == want
 
 
 @pytest.mark.parametrize("mass, loc, indices, det", [
