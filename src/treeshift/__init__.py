@@ -12,7 +12,6 @@ trees.
 from .errors import (
     CaseMismatchError,
     CycleError,
-    DepthUnavailableError,
     DisconnectedError,
     HasRootError,
     InstanceError,

@@ -174,22 +174,16 @@ MAX_GEN_DEPTH = 100000
 
 
 def cmd_tree_gen(args) -> int:
-    from .trees import make_tree_eta_kappa
+    from .trees import make_tree_eta_kappa, walk_levels
 
+    if args.depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {args.depth}")
     if args.depth > MAX_GEN_DEPTH:
         raise ValueError(f"depth must be at most {MAX_GEN_DEPTH}, got {args.depth}")
     kappa = KAPPA_INF if args.kappa == "inf" else int(args.kappa)
     tree = make_tree_eta_kappa(args.eta, kappa)
     start = tree.root if tree.root is not None else -args.depth
-    edges = []
-    frontier = [start]
-    for _ in range(args.depth):
-        nxt = []
-        for u in frontier:
-            for c in tree.children(u):
-                edges.append((u, c))
-                nxt.append(c)
-        frontier = nxt
+    edges = [e for level in walk_levels(tree, start, args.depth) for e in level]
     if args.format == "struct":
         import json
 

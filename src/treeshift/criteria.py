@@ -9,7 +9,6 @@ never claimed as computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
@@ -51,7 +50,9 @@ from .trees import (
     KAPPA_INF,
     covering_ancestors,
     format_vertex,
+    single_child_path,
     subtree_at,
+    walk_up,
 )
 
 DEFAULT_ELL = 25
@@ -76,11 +77,25 @@ MAX_SHIFT_IDENTITIES = 25000
 MAX_K_MAX = 1000
 MAX_UPTO = 10000
 
-_CEILINGS = {"depth": MAX_DEPTH, "window": MAX_WINDOW, "k_max": MAX_K_MAX, "upto": MAX_UPTO}
+# case iv checks ell stem equalities and case ii one per stem vertex, each an entry sum
+# over O(l)-bit moments: certify takes 3.0 s at ell = 10000 and 2.9 s at a stem of
+# 10000 (tests/data/kappa_inf.json with a default weight of 1; same machine)
+MAX_ELL = 10000
+MAX_STEM = 10000
+
+# reduce certifies k_max subtrees, each over depth + stem + 1 vertices, at a cost that
+# grows faster than that count.  At the bound, reduce on tests/data/bilateral.json takes
+# 5.5 s at k_max = 2, depth 10000 and m_max 1, and on kappa_inf.json with a default
+# weight of 1 it takes 5.0 s for two ancestors with stems near 9990 (depth 20) and 0.7 s
+# at k_max = 200, depth 20; k_max = 1000 there took 17.5 s and 1.1 GB (same machine)
+MAX_REDUCE_WORK = 25000
+
+_CEILINGS = {"depth": MAX_DEPTH, "window": MAX_WINDOW, "k_max": MAX_K_MAX, "upto": MAX_UPTO,
+             "ell": MAX_ELL, "stem": MAX_STEM}
 
 
 def _require_orders(**orders: int) -> None:
-    """Reject a negative order (depth, window, ancestor count, upto), or one above its ceiling, before any check runs."""
+    """Reject a negative order (depth, window, ancestor count, upto, ell, stem), or one above its ceiling, before any check runs."""
     for name, value in orders.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -197,34 +212,19 @@ class BranchFrame:
         return self.stem_fn(j)
 
 
-def _single_child_path(shift: WeightedShift, start, steps: int) -> list:
-    """[start, child(start), ...]: the path of ``steps`` single-child steps.
-
-    Stops early at a leaf; raises NotAChainError at a branching vertex.
-    """
-    out = [start]
-    v = start
-    for _ in range(steps):
-        kids = shift.tree.children(v)
-        if len(kids) > 1:
-            raise NotAChainError(v, len(kids))
-        if not kids:
-            break
-        v = kids[0]
-        out.append(v)
-    return out
-
-
 def branch_frame(shift: WeightedShift, probe: int = 64) -> Optional[BranchFrame]:
     """Locate the branching vertex, or return None when the tree is a chain.
 
     A finite tree is decided exactly from its vertex list, and more than one
     branching vertex is an error.  A lazily generated tree has no vertex
     list, so only the first ``probe`` steps below its root are searched.
+    A stem longer than its ceiling is rejected before any check walks it.
     """
     tree = shift.tree
     if tree.eta_kappa is not None:
         eta, kappa = tree.eta_kappa
+        if kappa != KAPPA_INF:
+            _require_orders(stem=kappa)
         entries = tree.children(0)
         return BranchFrame(0, kappa, entries, lambda j: -j)
     if tree.root is None:
@@ -240,15 +240,14 @@ def branch_frame(shift: WeightedShift, probe: int = 64) -> Optional[BranchFrame]
             )
     else:
         try:
-            _single_child_path(shift, tree.root, probe + 1)
+            single_child_path(tree, tree.root, probe + 1)
             branching = []
         except NotAChainError as exc:
             branching = [exc.vertex]
     if not branching:
         return None
-    stem = branching[:1]  # stem[j] = parent^j(branch vertex)
-    while stem[-1] != tree.root:
-        stem.append(tree.parent(stem[-1]))
+    stem = [branching[0], *walk_up(tree, branching[0])]  # stem[j] = parent^j(branch vertex)
+    _require_orders(stem=len(stem) - 1)
     return BranchFrame(stem[0], len(stem) - 1, tree.children(stem[0]),
                        lambda j, stem=stem: stem[j])
 
@@ -306,14 +305,6 @@ class ConsistentSystem:
         return self.eps.get(v, ZERO)
 
 
-def _exact_mass(mu: AtomicMeasure) -> Scalar:
-    """Total mass of an exact measure by one lcm-scaled integer sum."""
-    ratios = [w.as_integer_ratio() for _, w in mu.atoms]
-    den = math.lcm(*(d for _, d in ratios))
-    num = sum(n * (den // d) for n, d in ratios)
-    return ONE if num == den else Fraction(num, den)
-
-
 def _merged_rows(lists):
     """Walk lists of (location, ...) tuples, each ascending: (a, the tuples at a) per location a.
 
@@ -348,10 +339,10 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
     given (rooted trees), missing children inside the depth are an error
     rather than a silent skip.
 
-    mass[u] of exact data is one lcm-scaled integer sum (``_exact_mass``).
-    The atoms of mu_u and of the children are walked together in ascending
-    order (``_merged_rows``), and each muu+[u,a] is ``_Checker.eq_sum`` of
-    mu_u({a}) against the terms sq(v) * mu_v({a}) over d = a.
+    mass[u] is ``AtomicMeasure.total_mass``.  The atoms of mu_u and of the
+    children are walked together in ascending order (``_merged_rows``), and
+    each muu+[u,a] is ``_Checker.eq_sum`` of mu_u({a}) against the terms
+    sq(v) * mu_v({a}) over d = a.
     """
     tree = shift.tree
     ck = _Checker(mode, tol)
@@ -368,8 +359,7 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
             skipped += 1
             continue
         fu = format_vertex(u)
-        exact = ck.requested != "float" and mu_u.is_exact()
-        ck.eq(f"mass[{fu}]", _exact_mass(mu_u) if exact else mu_u.moment(0), ONE)
+        ck.eq(f"mass[{fu}]", mu_u.total_mass(), ONE)
         kid_measures = [system.mu[v] for v in kids]
         for v, mu_v in zip(kids, kid_measures):
             if mu_v.has_zero_atom() and shift.sq(v) != 0:
@@ -429,7 +419,7 @@ def certify_unilateral(shift: WeightedShift, N: int,
     tree = shift.tree
     if not tree.is_rooted:
         raise WrongTreeShapeError("unilateral criterion needs a rooted chain")
-    chain = _single_child_path(shift, tree.root, N)
+    chain = single_child_path(tree, tree.root, N)
     ck = _Checker(mode, tol)
     t = moment_sequence(shift, tree.root, N)
     sv = stieltjes_check(t, mode=mode, tol=tol)
@@ -485,11 +475,8 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("two-sided criterion needs a rootless chain")
-    tree.require_vertex(base)
-    top = base
-    for _ in range(K):
-        top = tree.parent_fn(top)
-    chain = _single_child_path(shift, top, K + N)  # chain[K + n] is n steps below base
+    top = (covering_ancestors(tree, base, K) or [base])[-1]
+    chain = single_child_path(tree, top, K + N)  # chain[K + n] is n steps below base
 
     values = {0: ONE}
     for n in range(1, N + 1):
@@ -497,7 +484,7 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
     for k in range(1, K + 1):
         values[-k] = values[-k + 1] / shift.sq(chain[K - k + 1])
     window = {n: values[n] for n in range(-K, N + 1)}
-    ts = TwoSidedMomentSequence.from_map(window, origin="two-sided weight products")
+    ts = TwoSidedMomentSequence.from_map(window)
 
     ck = _Checker(mode, tol)
     sv = two_sided_stieltjes_check(ts, K, mode=mode, tol=tol)
@@ -544,7 +531,7 @@ def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
                   measures: Sequence[AtomicMeasure], N: int) -> None:
     """zgod0[i,n]: m_n(mu_i) == sq(ray_i[n]) times the rhs recorded at n - 1, by ``_Checker.eq_sum``."""
     for i, (entry, mu) in enumerate(zip(frame.entries, measures), 1):
-        ray = _single_child_path(shift, entry, N)
+        ray = single_child_path(shift.tree, entry, N)
         if len(ray) <= N:
             raise WrongTreeShapeError(
                 f"ray through {format_vertex(entry)} ends at {format_vertex(ray[-1])} before depth {N}"
@@ -573,7 +560,7 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     the stem equalities for l below the stem length, and the final
     inequality (widly1'); infinite stem -> equalities for l up to ell_max.
     """
-    _require_orders(depth=N)
+    _require_orders(depth=N, ell=ell_max)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
@@ -752,7 +739,7 @@ def build_branch_tree_system(shift: WeightedShift,
     eps: dict = {}
 
     for entry, bmu in zip(frame.entries, branch_measures):
-        ray = _single_child_path(shift, entry, max(branch_depth - 1, 0))
+        ray = single_child_path(shift.tree, entry, max(branch_depth - 1, 0))
         for n, v in enumerate(ray, 1):
             mu[v] = bmu.tilted(n - 1)
             eps[v] = ZERO
@@ -857,20 +844,28 @@ def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
     Certifies the rooted subtree below each ancestor parent^k(base) for
     k = 1..k_max by dispatching to the applicable rooted criterion; the
     union of those descendant sets over all k covers the whole tree, so the
-    aggregate is the window-bounded form of the subtree equivalence.
+    aggregate is the window-bounded form of the subtree equivalence.  Every
+    subtree's frame is found, and the work (depth + stem + 1 summed over the
+    ancestors) bounded, before any certificate runs.
     """
-    _require_orders(k_max=k_max, depth=N)
+    _require_orders(k_max=k_max, depth=N, ell=ell_max)
     if k_max == 0:
         raise ValueError("k_max must be at least 1, got 0")
     tree = shift.tree
     if tree.is_rooted:
         raise HasRootError("reduction applies to rootless trees")
-    ancestors = covering_ancestors(tree, base, k_max)
-    parts = []
-    for k, omega in enumerate(ancestors, 1):
-        sub = subtree_at(tree, omega)
-        subshift = WeightedShift(sub, shift.weights)
+    subtrees = []
+    work = 0
+    for k, omega in enumerate(covering_ancestors(tree, base, k_max), 1):
+        subshift = WeightedShift(subtree_at(tree, omega), shift.weights)
         frame = branch_frame(subshift, probe=max(N, 64))
+        work += N + 1 + (0 if frame is None else frame.kappa)
+        if work > MAX_REDUCE_WORK:
+            raise ValueError(f"(depth + stem + 1) summed over the ancestors must be at most "
+                             f"{MAX_REDUCE_WORK}, got {work} by ancestor {k}")
+        subtrees.append((omega, subshift, frame))
+    parts = []
+    for omega, subshift, frame in subtrees:
         if frame is None:
             rep = certify_unilateral(subshift, N, m_max=m_max, mode=mode, tol=tol)
         else:

@@ -42,10 +42,6 @@ class UnknownVertexError(TreeShiftError):
         super().__init__(f"vertex {vertex!r} is not in the tree")
 
 
-class DepthUnavailableError(TreeShiftError):
-    """The lazy tree cannot supply vertices at the requested depth."""
-
-
 # -- weights ----------------------------------------------------------------
 
 class WeightUndefinedError(TreeShiftError):

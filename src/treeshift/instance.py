@@ -195,7 +195,7 @@ def parse_instance(doc: dict, mode_override: Optional[str] = None) -> Instance:
             _fail("$.sequence", "expected a nonempty list of rationals")
         values = [_rational(v, f"$.sequence[{i}]", as_float, f"t_{i}") for i, v in enumerate(seq)]
         try:
-            inst.sequence = MomentSequence.coerce(values, origin="document sequence")
+            inst.sequence = MomentSequence.coerce(values)
         except Exception as exc:
             _fail("$.sequence", str(exc))
 
@@ -210,7 +210,7 @@ def parse_instance(doc: dict, mode_override: Optional[str] = None) -> Instance:
         values = [_rational(v, f"$.two_sided.values[{i}]", as_float, f"t_{lo + i}")
                   for i, v in enumerate(vals)]
         try:
-            inst.two_sided = TwoSidedMomentSequence(lo, tuple(values), origin="document sequence")
+            inst.two_sided = TwoSidedMomentSequence(lo, tuple(values))
         except Exception as exc:
             _fail("$.two_sided", str(exc))
 

@@ -99,7 +99,13 @@ class AtomicMeasure:
         return self._masses.get(as_scalar(loc), ZERO)
 
     def total_mass(self) -> Scalar:
-        return sum((w for _, w in self.atoms), ZERO)
+        """Exact masses by one lcm-scaled integer sum, float ones by the running sum."""
+        if not self.is_exact():
+            return sum((w for _, w in self.atoms), ZERO)
+        ratios = [w.as_integer_ratio() for _, w in self.atoms]
+        den = math.lcm(*(d for _, d in ratios))
+        num = sum(n * (den // d) for n, d in ratios)
+        return ONE if num == den else Fraction(num, den)
 
     def has_zero_atom(self) -> bool:
         return 0 in self._masses

@@ -44,7 +44,6 @@ class MomentSequence:
     """Finite prefix (t_0, ..., t_N) of a nonnegative sequence."""
 
     values: Tuple[Scalar, ...]
-    origin: str = ""
 
     def __post_init__(self):
         for i, v in enumerate(self.values):
@@ -52,10 +51,10 @@ class MomentSequence:
                 raise NegativeEntryError(i, v)
 
     @staticmethod
-    def coerce(seq, origin: str = "") -> "MomentSequence":
+    def coerce(seq) -> "MomentSequence":
         if isinstance(seq, MomentSequence):
             return seq
-        return MomentSequence(tuple(as_scalar(v) for v in seq), origin=origin)
+        return MomentSequence(tuple(as_scalar(v) for v in seq))
 
     def __len__(self):
         return len(self.values)
@@ -70,7 +69,6 @@ class TwoSidedMomentSequence:
 
     lo: int
     values: Tuple[Scalar, ...]
-    origin: str = ""
 
     def __post_init__(self):
         if self.lo > 0:
@@ -82,13 +80,11 @@ class TwoSidedMomentSequence:
                 raise NegativeEntryError(self.lo + i, v, needs="strictly positive")
 
     @staticmethod
-    def from_map(mapping, origin: str = "") -> "TwoSidedMomentSequence":
+    def from_map(mapping) -> "TwoSidedMomentSequence":
         idx = sorted(mapping)
         if idx != list(range(idx[0], idx[-1] + 1)):
             raise ValueError("two-sided window has gaps")
-        return TwoSidedMomentSequence(
-            idx[0], tuple(as_scalar(mapping[i]) for i in idx), origin=origin
-        )
+        return TwoSidedMomentSequence(idx[0], tuple(as_scalar(mapping[i]) for i in idx))
 
     @property
     def hi(self) -> int:
@@ -98,10 +94,7 @@ class TwoSidedMomentSequence:
         """The one-sided sequence (t_{-k}, t_{-k+1}, ...)."""
         if k > -self.lo:
             raise WindowTooSmallError(-self.lo, k)
-        return MomentSequence(
-            self.values[-k - self.lo:],
-            origin=f"{self.origin} shifted by {k}".strip(),
-        )
+        return MomentSequence(self.values[-k - self.lo:])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .errors import WeightUndefinedError, WrongTreeShapeError, ZeroWeightError
 from .measures import AtomicMeasure, moment_ratio_rule
 from .moments import MomentSequence
 from .rationals import ONE, ZERO, Scalar, as_scalar, rational_sqrt
-from .trees import KAPPA_INF, DirectedTree, format_vertex, make_tree_eta_kappa
+from .trees import KAPPA_INF, DirectedTree, format_vertex, make_tree_eta_kappa, walk_levels
 
 NONZERO_REQUIRED = "nonzero_required"
 ALLOW_ZERO = "allow_zero"
@@ -170,19 +170,15 @@ def moment_sequence(shift: WeightedShift, u, N: int) -> MomentSequence:
     the product of squared weights along the path u -> w.  Exact when the
     weights are rational.
     """
-    shift.tree.require_vertex(u)
     if N < 0:
         raise ValueError("order must be nonnegative")
+    sq = shift.weights.sq
     values = [ONE]
-    layer = [(u, ONE)]
-    for _ in range(N):
-        nxt = []
-        for v, p in layer:
-            for c in shift.tree.children(v):
-                nxt.append((c, p * shift.weights.sq(c)))
-        layer = nxt
-        values.append(sum((p for _, p in layer), ZERO))
-    return MomentSequence(tuple(values), origin=f"orbit norms at {format_vertex(u)}")
+    products = {u: ONE}
+    for edges in walk_levels(shift.tree, u, N):
+        products = {c: products[v] * sq(c) for v, c in edges}
+        values.append(sum(products.values(), ZERO))
+    return MomentSequence(tuple(values))
 
 
 def synthesize_weights_from_measures(tree: DirectedTree,

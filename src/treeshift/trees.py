@@ -7,22 +7,27 @@ traversed to any finite depth without being built.  The level function
 increases by exactly one from parent to child, which is what makes
 descendant tests on infinite trees terminate.
 
-Trees are immutable after construction and safe for concurrent reads.
+Every walk (down a chain, level by level, up by parents) lives here: it
+validates its start vertex once, then steps with the raw functions.
+
+Trees are immutable after construction and safe for concurrent reads (a
+subtree's membership memo only ever adds entries).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Hashable, Optional, Sequence, Tuple
 
 from .errors import (
     CycleError,
-    DepthUnavailableError,
     DisconnectedError,
     HasRootError,
     InvalidEtaError,
     MultipleParentsError,
+    NotAChainError,
     UnknownVertexError,
 )
 
@@ -77,7 +82,6 @@ class DirectedTree:
     level_fn: Callable[[VertexId], int]
     eta_kappa: Optional[tuple] = None
     vertices: Optional[Tuple[VertexId, ...]] = None
-    depth_limit: Optional[int] = None
 
     @property
     def is_rooted(self) -> bool:
@@ -135,35 +139,26 @@ def build_tree(edges: Sequence[Tuple[VertexId, VertexId]]) -> DirectedTree:
         parent[c] = p
         children.setdefault(p, []).append(c)
 
-    # cycle detection by walking parent chains with colors
-    state: dict = {}
+    # one walk up the parent chains detects cycles and sets every level
+    levels: dict = {}
     for v in order:
-        chain = []
+        chain, on_chain = [], set()
         w = v
-        while w is not None and state.get(w) != "done":
-            if state.get(w) == "active":
-                i = chain.index(w)
-                raise CycleError(chain[i:])
-            state[w] = "active"
+        while w is not None and w not in levels:
+            if w in on_chain:
+                raise CycleError(chain[chain.index(w):])
             chain.append(w)
+            on_chain.add(w)
             w = parent.get(w)
-        for u in chain:
-            state[u] = "done"
+        level = -1 if w is None else levels[w]
+        for u in reversed(chain):
+            level += 1
+            levels[u] = level
 
     roots = [v for v in order if v not in parent]
     if len(roots) != 1:
         raise DisconnectedError(roots)
     root = roots[0]
-
-    levels = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for c in children.get(u, ()):
-                levels[c] = levels[u] + 1
-                nxt.append(c)
-        frontier = nxt
 
     child_map = {u: tuple(children.get(u, ())) for u in order}
     vertex_set = frozenset(order)
@@ -260,36 +255,88 @@ def make_bilateral_chain() -> DirectedTree:
     )
 
 
-def descendants_at_depth(tree: DirectedTree, u: VertexId, n: int) -> list:
-    """Vertices exactly n child-steps below u, in child order."""
+def single_child_path(tree: DirectedTree, start: VertexId, steps: int) -> list:
+    """[start, child(start), ...]: the path of ``steps`` single-child steps.
+
+    Stops early at a leaf; raises NotAChainError at a branching vertex.
+    """
+    tree.require_vertex(start)
+    children = tree.children_fn
+    out = [start]
+    v = start
+    for _ in range(steps):
+        kids = children(v)
+        if len(kids) > 1:
+            raise NotAChainError(v, len(kids))
+        if not kids:
+            break
+        v = kids[0]
+        out.append(v)
+    return out
+
+
+def walk_levels(tree: DirectedTree, u: VertexId, n: int):
+    """Yield the (parent, child) edges of each of the n levels below u, in child order."""
     tree.require_vertex(u)
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    if tree.depth_limit is not None and tree.level(u) + n > tree.depth_limit:
-        raise DepthUnavailableError(f"tree truncated at level {tree.depth_limit}")
+    children = tree.children_fn
     layer = [u]
     for _ in range(n):
-        layer = [c for v in layer for c in tree.children(v)]
+        edges = [(v, c) for v in layer for c in children(v)]
+        yield edges
+        layer = [c for _, c in edges]
+
+
+def walk_up(tree: DirectedTree, v: VertexId):
+    """Iterate parent(v), parent(parent(v)), ... up to the root; endless on a rootless tree.
+
+    v is validated on the call, so a walk of zero steps still rejects an unknown vertex.
+    """
+    tree.require_vertex(v)
+    parent, root = tree.parent_fn, tree.root
+
+    def up(w):
+        while w != root:
+            w = parent(w)
+            yield w
+
+    return up(v)
+
+
+def descendants_at_depth(tree: DirectedTree, u: VertexId, n: int) -> list:
+    """Vertices exactly n child-steps below u, in child order."""
+    if n < 0:
+        raise ValueError("depth must be nonnegative")
+    layer = [u]
+    for edges in walk_levels(tree, u, n):
+        layer = [c for _, c in edges]
     return layer
 
 
 def subtree_at(tree: DirectedTree, u: VertexId) -> DirectedTree:
-    """The rooted tree on the descendants of u, children unchanged."""
+    """The rooted tree on the descendants of u, children unchanged.
+
+    Membership walks up only until it meets a vertex already decided and
+    records the answer for every vertex passed: O(1) amortized along a walk.
+    """
     tree.require_vertex(u)
-    base_level = tree.level(u)
+    base_level = tree.level_fn(u)
+    known = {u: True}
 
     def contains(v) -> bool:
         if not tree.has_vertex(v):
             return False
-        d = tree.level(v) - base_level
-        if d < 0:
-            return False
-        w = v
-        for _ in range(d):
-            w = tree.parent_fn(w)
-            if w is None:
-                return False
-        return w == u
+        if v in known:
+            return known[v]
+        path = [v]
+        inside = False
+        for w in islice(walk_up(tree, v), max(tree.level_fn(v) - base_level, 0)):
+            if w in known:
+                inside = known[w]
+                break
+            path.append(w)
+        for w in path:
+            known[w] = inside
+        return inside
 
     def parent(v):
         return None if v == u else tree.parent_fn(v)
@@ -311,7 +358,6 @@ def subtree_at(tree: DirectedTree, u: VertexId) -> DirectedTree:
         level_fn=tree.level_fn,
         eta_kappa=eta_kappa,
         vertices=vertices,
-        depth_limit=tree.depth_limit,
     )
 
 
@@ -323,10 +369,4 @@ def covering_ancestors(tree: DirectedTree, u: VertexId, k_max: int) -> list:
     """
     if tree.is_rooted:
         raise HasRootError("covering ancestors are only defined for rootless trees")
-    tree.require_vertex(u)
-    out = []
-    w = u
-    for _ in range(k_max):
-        w = tree.parent_fn(w)
-        out.append(w)
-    return out
+    return list(islice(walk_up(tree, u), k_max))

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from treeshift import (
     AtomicMeasure,
@@ -86,3 +87,16 @@ def random_measure(rng: random.Random, max_atoms: int = 4, max_den: int = 10) ->
     raw = [Fraction(rng.randint(1, 20), rng.randint(1, 5)) for _ in range(n)]
     total = sum(raw)
     return AtomicMeasure.from_atoms((loc, w / total) for loc, w in zip(sorted(locs), raw))
+
+
+@st.composite
+def edge_trees(draw, max_vertices: int = 30):
+    """A random finite rooted tree as a (parent, child) edge list.
+
+    Vertex labels and edge order are shuffled, so neither the vertex list
+    nor any child order follows the levels.
+    """
+    n = draw(st.integers(2, max_vertices))
+    labels = draw(st.permutations(range(n)))
+    edges = [(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, n)]
+    return draw(st.permutations(edges))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeshift.cli import main
 
@@ -231,6 +235,24 @@ class TestTreeGen:
         code, _, err = run_cli(capsys, "tree", "gen", "--eta", "1", "--kappa", "0")
         assert code == 3
 
+    @given(st.integers(2, 4), st.sampled_from(["0", "1", "3", "inf"]), st.integers(0, 7))
+    def test_struct_listing_level_by_level(self, eta, kappa, depth):
+        """The edges in level order: down the stem first, then one edge per ray and level."""
+        start = -depth if kappa == "inf" else -int(kappa)
+        want = []
+        for level in range(1, depth + 1):
+            if start + level <= 0:
+                want.append([str(start + level - 1), str(start + level)])
+            else:
+                j = start + level
+                want.extend(["0" if j == 1 else f"({i},{j - 1})", f"({i},{j})"] for i in range(1, eta + 1))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["tree", "gen", "--eta", str(eta), "--kappa", kappa, "--depth", str(depth),
+                         "--format", "struct"])
+        assert code == 0
+        assert json.loads(out.getvalue()) == {"root": None if kappa == "inf" else str(start), "edges": want}
+
 
 class TestReduce:
     def test_bilateral_reduction(self, capsys, tmp_path):
@@ -397,6 +419,9 @@ class TestNegativeOrders:
     def test_negative_depth_bilateral(self, capsys):
         self._rejects(capsys, "certify", str(DATA / "bilateral.json"), "--depth", "-1", name="depth")
 
+    def test_negative_depth_tree_gen(self, capsys):
+        self._rejects(capsys, "tree", "gen", "--eta", "2", "--kappa", "inf", "--depth", "-1", name="depth")
+
     def test_negative_kmax(self, capsys):
         self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "-1", name="k_max")
 
@@ -495,7 +520,8 @@ def test_exact_paths_do_not_load_numpy(tmp_path):
 
 
 class TestOrderCeilings:
-    """upto, k_max and the bilateral (window + 1) * (depth + 1) have ceilings too: exit 3, not a hang."""
+    """upto, k_max, ell, the stem, the bilateral (window + 1) * (depth + 1) and reduce's work have
+    ceilings too: exit 3, not a hang."""
 
     def _rejects(self, capsys, *argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -523,4 +549,39 @@ class TestOrderCeilings:
     def test_bilateral_at_joint_ceiling_runs(self, capsys):
         code, _, _ = run_cli(capsys, "certify", str(DATA / "bilateral.json"), "--window", "999",
                              "--depth", "24", "--format", "struct")
+        assert code == 0
+
+    @staticmethod
+    def _unit_stem(tmp_path, **changes):
+        """kappa_inf.json with every stem weight past -5 set to 1."""
+        doc = json.loads((DATA / "kappa_inf.json").read_text())
+        doc["weights"]["default"] = {"sq": "1/1"}
+        doc["tree"].update(changes)
+        return _write(tmp_path, "unit-stem.json", doc)
+
+    def test_ell_above_ceiling(self, capsys, tmp_path):
+        path = self._unit_stem(tmp_path)
+        self._rejects(capsys, "certify", path, "--depth", "3", "--ell", str(10 ** 8),
+                      message=f"ell must be at most 10000, got {10 ** 8}")
+        doc = {**json.loads(Path(path).read_text()), "ell": 10001}
+        self._rejects(capsys, "certify", _write(tmp_path, "far.json", doc), "--depth", "3",
+                      message="ell must be at most 10000, got 10001")
+
+    def test_stem_above_ceiling(self, capsys, tmp_path):
+        self._rejects(capsys, "certify", self._unit_stem(tmp_path, kappa=10 ** 12), "--depth", "3",
+                      message=f"stem must be at most 10000, got {10 ** 12}")
+        # the first ancestor's subtree is the family with stem 10^12 + 1
+        self._rejects(capsys, "reduce", str(DATA / "kappa_inf.json"), "--base", str(-10 ** 12), "--kmax", "1",
+                      "--depth", "3", message=f"stem must be at most 10000, got {10 ** 12 + 1}")
+
+    def test_reduce_work_above_bound(self, capsys, tmp_path):
+        self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "3", "--depth", "10000",
+                      message="(depth + stem + 1) summed over the ancestors must be at most 25000, "
+                              "got 30003 by ancestor 3")
+        self._rejects(capsys, "reduce", self._unit_stem(tmp_path), "--kmax", "1000", "--depth", "20",
+                      message="(depth + stem + 1) summed over the ancestors must be at most 25000, "
+                              "got 25194 by ancestor 204")
+
+    def test_reduce_at_depth_ceiling_runs(self, capsys):
+        code, _, _ = run_cli(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "1", "--depth", "10000")
         assert code == 0

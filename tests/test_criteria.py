@@ -433,6 +433,39 @@ class TestReduction:
         with pytest.raises(HasRootError):
             reduce_rootless(a3_shift, base=0, k_max=2, N=4)
 
+    def test_parent_steps_linear_in_depth(self):
+        # each vertex's membership in the subtree below parent(base) is decided once;
+        # a walk back to the subtree's root on every query takes about N^2 / 2 steps
+        from dataclasses import replace
+
+        steps = 0
+
+        def parent(v):
+            nonlocal steps
+            steps += 1
+            return v - 1
+
+        N = 2000
+        tree = replace(make_bilateral_chain(), parent_fn=parent)
+        shift = WeightedShift(tree, WeightSystem.from_sq_map({}, default=2))
+        report = reduce_rootless(shift, base=0, k_max=1, N=N, m_max=1)
+        assert report.verdict == Verdict.CERTIFIED
+        assert sum(":mass[" in c.cid for c in report.checks) == N   # the system was built and verified
+        assert steps <= 2 * N
+
+    def test_work_bound(self, ones_bilateral, a3_infinite_shift, a3_measures):
+        from treeshift.criteria import MAX_REDUCE_WORK
+
+        assert MAX_REDUCE_WORK == 25000
+        # k_max chains of depth N cover k_max * (N + 1) vertices
+        assert reduce_rootless(ones_bilateral, base=0, k_max=1000, N=24).passed
+        with pytest.raises(ValueError, match=r"^\(depth \+ stem \+ 1\) summed over the ancestors "
+                                             r"must be at most 25000, got 25012 by ancestor 962$"):
+            reduce_rootless(ones_bilateral, base=0, k_max=1000, N=25)
+        # ancestor k of the branching vertex certifies a stem of k: 21 k + k (k + 1) / 2 at N = 20
+        with pytest.raises(ValueError, match="got 25194 by ancestor 204$"):
+            reduce_rootless(a3_infinite_shift, base=0, k_max=1000, N=20, branch_measures=a3_measures)
+
 
 class TestCrossPathConsistency:
     def test_chain_agrees_with_branch_restriction(self):
@@ -471,16 +504,6 @@ class TestAdditionalContracts:
         shift = make_branch_shift(2, 0, [DELTA1, DELTA1], [Fraction(1), Fraction(0)])
         with pytest.raises(ZeroWeightError):
             certify_branch_tree(shift, [DELTA1, DELTA1], N=3)
-
-    def test_depth_limited_tree(self):
-        from dataclasses import replace
-
-        from treeshift import DepthUnavailableError, descendants_at_depth
-
-        tree = replace(make_unilateral_chain(), depth_limit=4)
-        assert descendants_at_depth(tree, 0, 4) == [4]
-        with pytest.raises(DepthUnavailableError):
-            descendants_at_depth(tree, 0, 5)
 
     def test_m_max_echoed_in_params(self, ones_chain, ones_bilateral):
         r1 = certify_unilateral(ones_chain, N=4, m_max=2)

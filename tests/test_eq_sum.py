@@ -16,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from treeshift import WeightSystem, WeightedShift, certify_bilateral, make_bilateral_chain, moments_of
-from treeshift.criteria import _Checker, _single_child_path
+from treeshift.criteria import _Checker
 from treeshift.moments import TwoSidedMomentSequence, represent, two_sided_stieltjes_check
 from treeshift.rationals import ONE, ZERO
 from treeshift.report import witness_check
 from treeshift.shifts import moment_sequence
+from treeshift.trees import single_child_path
 
 SETTINGS = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -81,8 +82,8 @@ def parent_certify_bilateral(shift, K, N, m_max=None, base=0, mode="auto", tol=1
     tree = shift.tree
     top = base
     for _ in range(K):
-        top = tree.parent_fn(top)
-    chain = _single_child_path(shift, top, K + N)
+        top = tree.parent(top)
+    chain = single_child_path(tree, top, K + N)
 
     values = {0: ONE}
     for n in range(1, N + 1):
@@ -90,7 +91,7 @@ def parent_certify_bilateral(shift, K, N, m_max=None, base=0, mode="auto", tol=1
     for k in range(1, K + 1):
         values[-k] = values[-k + 1] / shift.sq(chain[K - k + 1])
     window = {n: values[n] for n in range(-K, N + 1)}
-    ts = TwoSidedMomentSequence.from_map(window, origin="two-sided weight products")
+    ts = TwoSidedMomentSequence.from_map(window)
 
     ck = _Checker(mode, tol)
     sv = two_sided_stieltjes_check(ts, K, mode=mode, tol=tol)

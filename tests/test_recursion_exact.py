@@ -31,12 +31,11 @@ from treeshift import (
 from treeshift.criteria import (
     ConsistentSystem,
     _Checker,
-    _single_child_path,
     _zgod0_checks,
     branch_frame,
 )
 from treeshift.rationals import ONE, ZERO, format_human, mul0
-from treeshift.trees import format_vertex
+from treeshift.trees import format_vertex, single_child_path
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -87,7 +86,7 @@ def parent_verify(shift, system, depth=None, mode="auto", tol=1e-9):
 def parent_zgod0_checks(ck, shift, frame, measures, N):
     """The running-product loop that ``_zgod0_checks`` ran before."""
     for i, (entry, mu) in enumerate(zip(frame.entries, measures), 1):
-        ray = _single_child_path(shift, entry, N)
+        ray = single_child_path(shift.tree, entry, N)
         prod = ONE
         for n in range(1, N + 1):
             prod = prod * shift.sq(ray[n])

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treeshift import (
     AtomicMeasure,
@@ -18,7 +20,8 @@ from treeshift import (
     orbit_norm_squared,
     synthesize_weights_from_measures,
 )
-from conftest import DELTA1, DELTA2
+from treeshift.rationals import ZERO
+from conftest import DELTA1, DELTA2, edge_trees
 
 HALF = Fraction(1, 2)
 
@@ -109,6 +112,32 @@ class TestMomentSequence:
         shift = chain_shift(Fraction(2))
         t = moment_sequence(shift, 0, 3)
         assert t.values == (Fraction(1), Fraction(2), Fraction(0), Fraction(0))
+
+
+@given(edge_trees(), st.data())
+def test_moment_sequence_matches_depth_first_path_sums(edges, data):
+    """t_n sums the path products to the depth-n vertices; a depth-first walk meets them in the same order."""
+    tree = build_tree(edges)
+    floats = data.draw(st.booleans())
+    weight = st.floats(0.125, 8.0) if floats else st.fractions(Fraction(1, 9), 9, max_denominator=9)
+    sq = {c: data.draw(weight) for _, c in edges}
+    children = {}
+    for p, c in edges:
+        children.setdefault(p, []).append(c)
+    u = data.draw(st.sampled_from(tree.vertices))
+    N = data.draw(st.integers(0, 8))
+    want = [ZERO] * (N + 1)
+
+    def visit(v, n, p):
+        want[n] = want[n] + p
+        if n < N:
+            for c in children.get(v, ()):
+                visit(c, n + 1, p * sq[c])
+
+    visit(u, 0, Fraction(1))
+    got = moment_sequence(WeightedShift(tree, WeightSystem.from_sq_map(sq)), u, N).values
+    assert got == tuple(want)
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 class TestSynthesis:

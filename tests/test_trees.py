@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from treeshift import (
     make_tree_eta_kappa,
     subtree_at,
 )
+from conftest import edge_trees
 
 
 class TestBuildTree:
@@ -183,3 +186,76 @@ class TestCoveringAncestors:
         sub = subtree_at(tree, ancestors[-1])
         for v in [-4, -1, 0, (1, 1), (2, 7)]:
             assert sub.has_vertex(v)
+
+
+def _family_parent(v, kappa):
+    """The parent in the generated family, or None at its root."""
+    if isinstance(v, tuple):
+        return 0 if v[1] == 1 else (v[0], v[1] - 1)
+    return v - 1 if kappa == KAPPA_INF or -v < kappa else None
+
+
+def _family_level(v):
+    return v[1] if isinstance(v, tuple) else v
+
+
+def _in_family(v, eta, kappa):
+    if isinstance(v, tuple):
+        return 1 <= v[0] <= eta and v[1] >= 1
+    return v == 0 or (v < 0 and -v <= kappa)
+
+
+class TestSubtreeMembership:
+    """``subtree_at`` remembers what its parent walks decided; a plain parent walk and a BFS are the reference."""
+
+    @given(edge_trees(), st.data())
+    def test_finite_tree(self, edges, data):
+        tree = build_tree(edges)
+        parent = {c: p for p, c in edges}
+        children = {}
+        for p, c in edges:
+            children.setdefault(p, []).append(c)
+        vertices = sorted(parent.keys() | children.keys())
+
+        def depth(v):
+            return 0 if v not in parent else 1 + depth(parent[v])
+
+        assert [tree.level(v) for v in vertices] == [depth(v) for v in vertices]
+        u = data.draw(st.sampled_from(vertices))
+        below, layer = {u}, [u]
+        while layer:
+            layer = [c for v in layer for c in children.get(v, ())]
+            below.update(layer)
+        assert subtree_at(tree, u).vertices == tuple(v for v in tree.vertices if v in below)
+
+        def reaches(v):
+            while v is not None:
+                if v == u:
+                    return True
+                v = parent.get(v)
+            return False
+
+        # without a vertex list nothing is decided up front, so the queries drive the memo
+        lazy = subtree_at(replace(tree, vertices=None), u)
+        for v in data.draw(st.permutations(vertices + [-1, len(vertices), "x"])):
+            assert lazy.has_vertex(v) == reaches(v), v
+
+    @given(st.integers(2, 4), st.one_of(st.integers(0, 6), st.just(KAPPA_INF)), st.data())
+    def test_generated_family(self, eta, kappa, data):
+        tree = make_tree_eta_kappa(eta, kappa)
+        bottom = -8 if kappa == KAPPA_INF else -kappa
+        window = list(range(bottom - 2, 3)) + [(i, j) for i in range(eta + 2) for j in range(7)]
+        u = data.draw(st.sampled_from([v for v in window if _in_family(v, eta, kappa)]))
+
+        def reaches(v):
+            if not _in_family(v, eta, kappa):
+                return False
+            while v is not None and _family_level(v) >= _family_level(u):
+                if v == u:
+                    return True
+                v = _family_parent(v, kappa)
+            return False
+
+        sub = subtree_at(tree, u)
+        for v in data.draw(st.permutations(window)):
+            assert sub.has_vertex(v) == reaches(v), v
