@@ -143,27 +143,36 @@ def hankel_matrix(values: Sequence[Scalar], offset: int, size: int):
 
 
 def det_exact(matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting.
+    """Determinant by fraction-free (Bareiss) elimination on an integer matrix.
 
-    Only the columns right of each pivot are updated; the entries below the
-    diagonal are left stale, never zeroed.
+    Row i is scaled by the lcm L_i of its denominators (a large denominator
+    then scales one row, not all of them), and Bareiss's steps
+    a_rc <- (a_rc a_kk - a_rk a_kc) / a_{k-1,k-1} divide exactly, so every
+    entry stays an integer minor of the scaled matrix and no step takes a
+    gcd.  A zero pivot swaps in the first row below with a nonzero entry in
+    its column; det = +-a_nn / (L_0 ... L_{n-1}).  Only the columns right of
+    each pivot are updated; the entries below the diagonal are left stale,
+    never zeroed.
     """
     a = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in matrix]
-    n, sign = len(a), 1
+    scales = [math.lcm(*(x.denominator for x in row)) for row in a]
+    a = [[x.numerator * (L // x.denominator) for x in row] for L, row in zip(scales, a)]
+    n, sign, prev = len(a), 1, 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:
             return ZERO
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             sign = -sign
         pivot = a[col]
+        p = pivot[col]
         for r in range(col + 1, n):
             row = a[r]
-            if row[col]:
-                factor = row[col] / pivot[col]
-                a[r] = row[:col + 1] + [x - factor * y for x, y in zip(row[col + 1:], pivot[col + 1:])]
-    return math.prod((a[i][i] for i in range(n)), start=Fraction(sign))
+            x = row[col]
+            a[r] = row[:col + 1] + [(y * p - x * z) // prev for y, z in zip(row[col + 1:], pivot[col + 1:])]
+        prev = p
+    return Fraction(sign * prev, math.prod(scales))
 
 
 def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
@@ -220,25 +229,37 @@ def _qd_rhombus(t):
     t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0).  Anti-diagonal d
     (d = 1..N) lists q_1^(d-1), e_1^(d-2), q_2^(d-3), ..., down to c_d; it is
     grown from t_d and anti-diagonal d - 1 by the rhombus rules, whatever the
-    signs of the entries.  The rhombus stops before an anti-diagonal that
-    would divide by an exact zero (t_{d-1} or an e entry).  It serves only
-    ``_wall_det``, which re-verifies witnesses apart from Chebyshev's table.
+    signs of the entries.  Each entry is an integer pair p / q in lowest
+    terms with q > 0, one gcd per entry, and an anti-diagonal is the flat
+    list p_0, q_0, p_1, q_1, ..., so an entry's sign is its numerator's.  The
+    rhombus stops before an anti-diagonal that would divide by an exact zero
+    (t_{d-1} or an e entry).  It serves only ``_wall_det``, which re-verifies
+    witnesses apart from Chebyshev's table.
     """
+    gcd = math.gcd
+    tp, tq = [x.numerator for x in t], [x.denominator for x in t]
     prev: list = []   # anti-diagonal d - 1
     for d in range(1, len(t)):
-        if not t[d - 1] or not all(prev[1::2]):
+        if not tp[d - 1] or not all(prev[2::4]):
             return
-        cur: list = []
-        for i in range(d):
-            if i == 0:
-                x = t[d] / t[d - 1]
-            elif i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
-                x = cur[i - 1] - prev[i - 1]
+        p, q = tp[d] * tq[d - 1], tq[d] * tp[d - 1]   # q_1^(d-1) = t_d / t_{d-1}
+        if q < 0:
+            p, q = -p, -q
+        g = gcd(p, q)
+        cur = [p // g, q // g]
+        for i in range(1, d):
+            a, b, c, e = cur[-2], cur[-1], prev[2 * i - 2], prev[2 * i - 1]
+            if i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
+                p, q = a * e - c * b, b * e
                 if i > 1:
-                    x += prev[i - 2]
-            else:         # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
-                x = prev[i - 2] * cur[i - 1] / prev[i - 1]
-            cur.append(x)
+                    c, e = prev[2 * i - 4], prev[2 * i - 3]
+                    p, q = p * e + c * q, q * e
+            else:       # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
+                p, q = prev[2 * i - 4] * a * e, prev[2 * i - 3] * b * c
+                if q < 0:
+                    p, q = -p, -q
+            g = gcd(p, q)
+            cur += (p // g, q // g)
         yield cur
         prev = cur
 
@@ -247,19 +268,22 @@ def _wall_det(s) -> Optional[Scalar]:
     """det (s_{i+j})_{i,j<k} from s_0..s_{2k-2} by Wall's formula, or None.
 
     det = s_0^k prod_{i=1}^{k-1} (c_{2i-1} c_{2i})^(k-i) with c_1..c_{2k-2}
-    the S-fraction coefficients of ``_qd_rhombus`` (Wall 1948).  The rhombus
-    rules are rational identities, so the product is the determinant whenever
-    no divisor was zero; None when the rhombus stopped on a zero divisor.
+    the S-fraction coefficients of ``_qd_rhombus`` (Wall 1948), taken from
+    its integer pairs as one numerator and one denominator, so the one
+    Fraction is made at the end.  The rhombus rules are rational identities,
+    so the product is the determinant whenever no divisor was zero; None
+    when the rhombus stopped on a zero divisor.
     """
     k = (len(s) + 1) // 2
-    s = [Fraction(x) for x in s[:2 * k - 1]]
-    c = [diag[-1] for diag in _qd_rhombus(s)]
+    c = [diag[-2:] for diag in _qd_rhombus(s[:2 * k - 1])]
     if len(c) < 2 * k - 2:
         return None
-    det = s[0] ** k
+    num, den = s[0].numerator ** k, s[0].denominator ** k
     for i in range(1, k):
-        det *= (c[2 * i - 2] * c[2 * i - 1]) ** (k - i)
-    return det
+        (p1, q1), (p2, q2) = c[2 * i - 2], c[2 * i - 1]
+        num *= (p1 * p2) ** (k - i)
+        den *= (q1 * q2) ** (k - i)
+    return Fraction(num, den)
 
 
 def _chebyshev(t, n: int):
@@ -318,10 +342,12 @@ def _form_violation(t, depth: Optional[int] = None):
     definite, hence PSD.  h_K < 0: h_0..h_{K-1} > 0, so the elimination
     pivots rows 0..K-1 in index order, and after pivots 0..j-1 the diagonal
     entry r of its Schur complement is t_{2r} - sum_{i<j} sigma_{i,r}^2 / h_i.
-    The first j, and in it the first r, with a negative entry give its
-    witness {0..j-1, r}; j = K at the latest, where the entry at r = K is
-    h_K.  Only a zero pivot with a nonzero sigma row goes to the elimination
-    itself.
+    These sums are integer pairs in lowest terms with a positive
+    denominator, one gcd per entry, so an entry is negative when its
+    numerator is.  The first j, and in it the first r, with a negative entry
+    give its witness {0..j-1, r}; j = K at the latest, where the entry at
+    r = K is h_K.  Only a zero pivot with a nonzero sigma row goes to the
+    elimination itself.
     """
     n = (len(t) + 1) // 2
     bad = _first_step(t, n)
@@ -335,13 +361,18 @@ def _form_violation(t, depth: Optional[int] = None):
     if rows[K][0] == 0:
         finite_rank = not any(rows[K][:2 * (n - K) - 1])
         return (None if finite_rank else psd_violation_exact(hankel_matrix(t, 0, n))), table
-    diag = list(t[0:2 * n - 1:2])
+    gcd = math.gcd
+    num = [x.numerator for x in t[0:2 * n - 1:2]]   # diagonal r is num[r] / den[r], den[r] > 0
+    den = [x.denominator for x in t[0:2 * n - 1:2]]
     for j in range(1, K + 1):
         row = rows[j - 1]
-        scale = row[0] * dens[j - 1]   # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale
-        for r in range(j, n):
-            diag[r] -= row[r - j + 1] ** 2 / scale
-            if diag[r] < 0:
+        # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale, scale = row[0] dens[j-1] = sp / sq > 0
+        sp, sq = row[0] * dens[j - 1].numerator, dens[j - 1].denominator
+        for r, x in zip(range(j, n), row[1:]):
+            p, q = num[r] * sp - den[r] * sq * x * x, den[r] * sp
+            g = gcd(p, q)
+            num[r], den[r] = p // g, q // g
+            if p < 0:
                 return (*range(j), r), table
     raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
 

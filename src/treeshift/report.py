@@ -95,6 +95,15 @@ def _render(value, machine: bool) -> object:
         return str(value)
 
 
+def _render_sides(c: Check, machine: bool) -> tuple:
+    """(lhs, rhs) of ``c`` rendered; the same value or an equal Fraction renders
+    alike, and a large one is costly to render, so rhs then reuses lhs."""
+    lhs = _render(c.lhs, machine)
+    if c.rhs is c.lhs or (isinstance(c.lhs, Fraction) and isinstance(c.rhs, Fraction) and c.lhs == c.rhs):
+        return lhs, lhs
+    return lhs, _render(c.rhs, machine)
+
+
 @dataclass
 class CertificateReport:
     criterion: str
@@ -130,11 +139,8 @@ class CertificateReport:
                 {
                     "id": c.cid,
                     "relation": c.relation,
-                    "lhs": (lhs := _render(c.lhs, True)),
-                    # the same value or an equal Fraction renders alike, and a large one is costly to render
-                    "rhs": (lhs if c.rhs is c.lhs
-                            or (isinstance(c.lhs, Fraction) and isinstance(c.rhs, Fraction) and c.lhs == c.rhs)
-                            else _render(c.rhs, True)),
+                    "lhs": (sides := _render_sides(c, True))[0],
+                    "rhs": sides[1],
                     "slack": _render(c.slack, True),
                     "passed": c.passed,
                     "note": c.note,
@@ -158,7 +164,8 @@ class CertificateReport:
             if c.relation in ("flag", "psd"):
                 body = c.note or c.relation
             else:
-                body = f"{_render(c.lhs, False)} {c.relation} {_render(c.rhs, False)}"
+                lhs, rhs = _render_sides(c, False)
+                body = f"{lhs} {c.relation} {rhs}"
                 if c.slack is not None:
                     body += f" (slack {_render(c.slack, False)})"
                 if c.note:

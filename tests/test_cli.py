@@ -532,6 +532,28 @@ class TestOrderCeilings:
         self._rejects(capsys, "moments", "compute", str(DATA / "a3.json"), "--vertex", "0",
                       "--upto", str(10 ** 11), message=f"upto must be at most 10000, got {10 ** 11}")
 
+    def test_moments_compute_ray_index_above_ceiling(self, capsys, tmp_path):
+        # the ratio rule at ray vertex (i, j) extends the branch measure's power-sum table to
+        # order j: (1, 10^8) on a3 was still running after 8 s
+        self._rejects(capsys, "moments", "compute", str(DATA / "a3.json"), "--vertex", "(1,100000000)",
+                      "--upto", "3", message="ray index must be at most 10000, got 100000000")
+        self._rejects(capsys, "moments", "compute", self._unit_stem(tmp_path), "--vertex", "(2,10001)",
+                      "--upto", "3", message="ray index must be at most 10000, got 10001")
+        code, out, _ = run_cli(capsys, "moments", "compute", str(DATA / "a3.json"), "--vertex", "(1,10000)",
+                               "--upto", "2")
+        assert (code, out) == (0, "(1, 1, 1)\n")
+        # a listed tree's pair labels are not ray indices
+        doc = {"tree": {"kind": "edges", "edges": [["0", "(1,20000)"], ["(1,20000)", "(1,20001)"]]},
+               "weights": {"map": {"(1,20000)": {"sq": "2"}, "(1,20001)": {"sq": "3"}}}}
+        code, out, _ = run_cli(capsys, "moments", "compute", _write(tmp_path, "edges.json", doc),
+                               "--vertex", "(1,20000)", "--upto", "2")
+        assert (code, out) == (0, "(1, 3, 0)\n")
+        # the document key vertex holds an integer, a stem or branching vertex, never a ray vertex
+        doc = {**json.loads((DATA / "a3.json").read_text()), "vertex": "(1,100000000)"}
+        code, out, err = run_cli(capsys, "moments", "compute", _write(tmp_path, "far.json", doc),
+                                 "--vertex", "0", "--upto", "3")
+        assert (code, out, err) == (3, "", "input error: $.vertex: expected an integer\n")
+
     def test_reduce_kmax_above_ceiling(self, capsys, tmp_path):
         self._rejects(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", str(10 ** 9), "--depth", "5",
                       message=f"k_max must be at most 1000, got {10 ** 9}")

@@ -806,6 +806,113 @@ def test_shifted_witness_after_a_positive_definite_form(mass, loc, indices, det)
     assert verdict.witness.det == det == det_exact(hankel_matrix(t, 1, len(indices)))
 
 
+# -- integer-pair loops against the Fraction loops they replaced ----------------------
+
+
+def _fraction_qd_rhombus(t):
+    """moments._qd_rhombus as it was in Fractions, kept verbatim as the reference."""
+    prev: list = []   # anti-diagonal d - 1
+    for d in range(1, len(t)):
+        if not t[d - 1] or not all(prev[1::2]):
+            return
+        cur: list = []
+        for i in range(d):
+            if i == 0:
+                x = t[d] / t[d - 1]
+            elif i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
+                x = cur[i - 1] - prev[i - 1]
+                if i > 1:
+                    x += prev[i - 2]
+            else:         # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
+                x = prev[i - 2] * cur[i - 1] / prev[i - 1]
+            cur.append(x)
+        yield cur
+        prev = cur
+
+
+def _fraction_schur_scan(t, table):
+    """The Schur-diagonal scan that ended _form_violation, in Fractions, kept verbatim
+    as the reference; None when the table did not stop at a negative pivot."""
+    n = (len(t) + 1) // 2
+    rows, dens = table[:2]
+    K = next((k for k, row in enumerate(rows[:n]) if row[0] <= 0), None)
+    if K is None or rows[K][0] == 0:
+        return None
+    diag = list(t[0:2 * n - 1:2])
+    for j in range(1, K + 1):
+        row = rows[j - 1]
+        scale = row[0] * dens[j - 1]   # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale
+        for r in range(j, n):
+            diag[r] -= row[r - j + 1] ** 2 / scale
+            if diag[r] < 0:
+                return (*range(j), r)
+    raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
+
+
+@given(small_hankel_sequences(max_order=8))
+@settings(max_examples=400, deadline=None)
+def test_integer_rhombus_matches_the_fraction_rhombus(s):
+    # entry for entry, in lowest terms with a positive denominator, and the same stop
+    got, want = list(moments._qd_rhombus(s)), list(_fraction_qd_rhombus(s))
+    assert len(got) == len(want)
+    for diag, ref in zip(got, want):
+        pairs = list(zip(diag[0::2], diag[1::2]))
+        assert [(x.numerator, x.denominator) for x in ref] == pairs
+    assert _wall_det(s) == (None if len(want) < len(s) - 1 else
+                            det_exact(hankel_matrix(s, 0, (len(s) + 1) // 2)))
+
+
+def _scan_agrees(t):
+    """Assert that _form_violation's scan returns the Fraction scan's witness; that witness."""
+    bad, table = _form_violation(t)
+    want = None if table is None else _fraction_schur_scan(t, table)
+    if want is not None:
+        assert bad == want
+    return want
+
+
+@given(rational_prefixes())
+@settings(max_examples=300, deadline=None)
+def test_integer_schur_scan_matches_the_fraction_scan(values):
+    _scan_agrees(values)
+
+
+def _top_minor_negative(N):
+    """1/(n+1) to an even N with t_N moved halfway between its last two Schur values,
+    so that only the top leading minor is negative (the benchmark's deep violations)."""
+    t = [Fraction(1, j + 1) for j in range(N + 1)]
+    n = N // 2
+    h = [det_exact(hankel_matrix(t, 0, k)) for k in range(n - 1, n + 2)]
+    rows = [*range(n - 1), n]
+    last = h[2] / h[1]
+    before = det_exact([[t[r + c] for c in rows] for r in rows]) / h[0]
+    t[N] -= (last + before) / 2
+    return t
+
+
+def _zero_schur_entry():
+    """1/(n+1) to N = 12 with t_8 lowered until the entry r = 4 after two pivots is exactly 0:
+    the scan meets that zero at j = 2 and its witness {0, 1, 2, 4} at j = 3."""
+    t = [Fraction(1, j + 1) for j in range(13)]
+    a, b, c, x, y = t[0], t[1], t[2], t[4], t[5]
+    t[8] = (c * x * x - 2 * b * x * y + a * y * y) / (a * c - b * b)
+    return t
+
+
+@pytest.mark.parametrize("t, want", [
+    (_lowered(40, 36), (*range(13), 18)),
+    (_lowered(60, 50), (*range(15), 25)),
+    (_lowered(100, 90), (*range(19), 45)),
+    (_top_minor_negative(12), tuple(range(7))),
+    (_top_minor_negative(20), tuple(range(11))),
+    (_top_minor_negative(30), tuple(range(16))),
+    (_zero_schur_entry(), (0, 1, 2, 4)),
+], ids=["lowered-40", "lowered-60", "lowered-100", "top-12", "top-20", "top-30", "zero-entry"])
+def test_integer_schur_scan_on_deep_witnesses(t, want):
+    # each witness comes from the scan past j = 1, which the first step does not reach
+    assert _scan_agrees(t) == want
+
+
 # -- atomic recovery on Chebyshev's table ----------------------------------------------
 
 

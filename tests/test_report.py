@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from treeshift import AtomicMeasure, certify_branch_tree, make_branch_shift
+from treeshift import (
+    AtomicMeasure,
+    ConsistentSystem,
+    build_branch_tree_system,
+    certify_branch_tree,
+    make_branch_shift,
+    verify_consistent_system,
+)
 from treeshift.cli import main
 from treeshift.rationals import INF, format_human, format_struct
 from treeshift.report import CertificateReport, Check, Verdict, check_eq
@@ -43,6 +50,29 @@ def _reference_render(value, machine):
         return str(value)
 
 
+def _reference_to_text(report):
+    """CertificateReport.to_text as it was before it reused the rendered lhs."""
+    lines = [f"criterion: {report.criterion}"]
+    lines.append(f"verdict: {report.verdict.value.upper()}   arithmetic: {report.arithmetic}")
+    if report.params:
+        rendered = " ".join(f"{k}={_reference_render(v, False)}" for k, v in sorted(report.params.items()))
+        lines.append(f"params: {rendered}")
+    for c in report.checks:
+        mark = "pass" if c.passed else "FAIL"
+        if c.relation in ("flag", "psd"):
+            body = c.note or c.relation
+        else:
+            body = f"{_reference_render(c.lhs, False)} {c.relation} {_reference_render(c.rhs, False)}"
+            if c.slack is not None:
+                body += f" (slack {_reference_render(c.slack, False)})"
+            if c.note:
+                body += f" -- {c.note}"
+        lines.append(f"  [{mark}] {c.cid}: {body}")
+    for n in report.notes:
+        lines.append(f"note: {n}")
+    return "\n".join(lines) + "\n"
+
+
 def _reference_entry(c):
     return {"id": c.cid, "relation": c.relation, "lhs": _reference_render(c.lhs, True),
             "rhs": _reference_render(c.rhs, True), "slack": _reference_render(c.slack, True),
@@ -69,6 +99,24 @@ def test_check_eq_and_its_entry_match_the_reference(lhs, rhs, mode):
     report = CertificateReport("parity", Verdict.CERTIFIED, mode, [got])
     assert report.to_struct()["checks"] == [_reference_entry(want)]
     assert report.to_text() == CertificateReport("parity", Verdict.CERTIFIED, mode, [want]).to_text()
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["certified", "violated"])
+def test_to_text_reusing_the_lhs_matches_the_reference(perturb):
+    # a system of the reference instance (tests/data/a3.json) re-verified to depth 12, and the
+    # same system with one mass moved; most of its checks carry rhs is lhs
+    mus = [AtomicMeasure.point_mass(1), AtomicMeasure.point_mass(2)]
+    shift = make_branch_shift(2, 1, mus, [Fraction(1, 2), 1], [1])
+    system = build_branch_tree_system(shift, mus, depth=12)
+    if perturb:
+        bad = dict(system.mu)
+        (x, w), *rest = bad[0].atoms
+        bad[0] = AtomicMeasure(((x, w + Fraction(1, 1000)), *rest))
+        system = ConsistentSystem(bad, system.eps)
+    report = verify_consistent_system(shift, system)
+    assert report.verdict == (Verdict.VIOLATED if perturb else Verdict.CERTIFIED)
+    assert any(c.rhs is c.lhs for c in report.checks)
+    assert report.to_text() == _reference_to_text(report)
 
 
 BIG = 10 ** 5000 + 7
