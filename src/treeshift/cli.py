@@ -129,7 +129,9 @@ def cmd_moments_compute(args) -> int:
     inst = load_instance(args.path, args.mode)
     if inst.shift is None:
         raise InstanceError("$", "moments compute needs a tree and weights")
-    vertex = parse_vertex(args.vertex)
+    vertex = parse_vertex(args.vertex) if args.vertex is not None else inst.params.get("vertex")
+    if vertex is None:
+        raise InstanceError("$.vertex", "moments compute needs --vertex or the document key vertex")
     _require_orders(upto=args.upto)
     if inst.tree.eta_kappa is not None and isinstance(vertex, tuple) and vertex[1] > MAX_RAY_INDEX:
         raise ValueError(f"ray index must be at most {MAX_RAY_INDEX}, got {vertex[1]}")
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = msub.add_parser("compute", help="orbit-norm sequence from an instance document")
     mc.add_argument("path")
-    mc.add_argument("--vertex", required=True)
+    mc.add_argument("--vertex", default=None, help="default: the document key vertex")
     mc.add_argument("--upto", type=int, default=10)
     _add_common(mc, out=False)
     mc.set_defaults(func=cmd_moments_compute)

@@ -21,10 +21,10 @@ from .errors import (
     NotAChainError,
     PremiseViolatedError,
     WrongTreeShapeError,
-    ZeroAtomError,
     ZeroAtomInChildError,
 )
-from .measures import AtomicMeasure, moments_of, root_measure_from_branches
+from .measures import (AtomicMeasure, _validate_branch_measures, mixture, moments_of,
+                       root_measure_from_branches)
 from .moments import (
     TwoSidedMomentSequence,
     carleman_partial_sum,
@@ -260,17 +260,6 @@ def _stem_products(shift: WeightedShift, frame: BranchFrame, last: int) -> List[
     return products
 
 
-def _validate_branch_measures(measures: Sequence[AtomicMeasure]) -> None:
-    for i, mu in enumerate(measures, 1):
-        if not mu.is_probability(tol=1e-9):
-            raise ValueError(f"branch measure {i} is not a probability measure")
-        if mu.has_zero_atom():
-            raise ZeroAtomError(
-                f"branch measure {i} has an atom at 0; its negative-power integrals diverge "
-                f"and the consistency condition cannot hold"
-            )
-
-
 # -- consistency condition and the measure recursion --------------------------
 
 
@@ -444,10 +433,7 @@ def certify_unilateral(shift: WeightedShift, N: int,
         for k, v in enumerate(chain):
             if not tree.children(v):
                 break  # finite prefix: the recursion is not claimed at a leaf
-            tk = t[k]
-            mu_map[v] = AtomicMeasure.from_atoms(
-                (s, w * s ** k / tk) for s, w in rep.atoms if s != 0 or k == 0
-            )
+            mu_map[v] = rep.tilted(k)
             eps_map[v] = rep.mass_at(0) if k == 0 else ZERO
         system = ConsistentSystem(mu_map, eps_map)
         sub = verify_consistent_system(shift, system, mode=mode, tol=tol)
@@ -623,22 +609,20 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
     ck = _Checker(mode, tol)
     _zgod0_checks(ck, shift, frame, branch_measures, N)
     ck.eq("prob[0]", moments_of(nu, 0), ONE)
+    # ||S^n e_root||^2: the n stem weights below the root, not P_kappa / P_(kappa-n), which a zero weight breaks
+    rhs = ONE
     for n in range(1, kappa + 1):
-        rhs = ONE
-        for j in range(kappa - n, kappa):
-            rhs = rhs * shift.sq(frame.stem_vertex(j))
+        rhs = rhs * shift.sq(frame.stem_vertex(kappa - n))
         ck.eq(f"prob[{n}]", moments_of(nu, n), rhs)
+    # the rhs of probp is the measure P sum_i sq_i (1/s) dmu_i
     P = _stem_products(shift, frame, kappa)[-1]
+    mix = mixture(branch_measures, [shift.sq(v) for v in frame.entries])
+    stem = mix.tilted(-1, P * mix.moment(-1))
     locations = {s for s, _ in nu.atoms if s != 0}
     for mu in branch_measures:
         locations.update(s for s, _ in mu.atoms)
     for a in sorted(locations):
-        lhs = nu.mass_at(a) * a ** kappa
-        rhs = ZERO
-        for entry, mu in zip(frame.entries, branch_measures):
-            rhs = rhs + mul0(shift.sq(entry), mu.mass_at(a) / a)
-        rhs = P * rhs
-        ck.eq(f"probp[{format_human(a)}]", lhs, rhs)
+        ck.eq(f"probp[{format_human(a)}]", nu.mass_at(a) * a ** kappa, stem.mass_at(a))
     notes = ["root-measure form of the finite-stem criterion"]
     return ck.report("branch-tree-case-iii", {"depth": N, "case": "iii"}, notes)
 
@@ -744,16 +728,15 @@ def build_branch_tree_system(shift: WeightedShift,
             mu[v] = bmu.tilted(n - 1)
             eps[v] = ZERO
 
-    # stem vertex l (the branching vertex at l = 0) carries sum_i P_l e_i s^-(l+1) dmu_i,
-    # which may merge coincident atoms; the root also carries the defect at 0
-    entry_sq = [shift.sq(v) for v in frame.entries]
+    # stem vertex l (the branching vertex at l = 0) carries P_l s^-(l+1) dmix, the tilt of
+    # the mixture sum_i e_i mu_i; the root also carries the defect at 0
+    mix = mixture(branch_measures, [shift.sq(v) for v in frame.entries])
     last = int(kappa) if rooted else stem_len
     for l, P in enumerate(_stem_products(shift, frame, last)):
-        body = AtomicMeasure.from_atoms((s, P * e * w * s ** (-(l + 1)))
-                                        for e, bmu in zip(entry_sq, branch_measures) for s, w in bmu.atoms)
+        body = mix.tilted(-(l + 1), P * mix.moment(-(l + 1)))
         v = frame.stem_vertex(l)
         eps[v] = 1 - body.total_mass() if rooted and l == last else ZERO
-        mu[v] = AtomicMeasure.from_atoms(list(body.atoms) + [(ZERO, eps[v])]) if eps[v] != 0 else body
+        mu[v] = body.with_defect(eps[v])
     return ConsistentSystem(mu, eps)
 
 
@@ -795,12 +778,7 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
         ck.flag(f"recover[{fe}]", True, f"recovered {desc}, reproducing the prefix {how}")
         measures.append(rec)
 
-    mixture_atoms = []
-    for entry, mu_i in zip(frame.entries, measures):
-        e = shift.sq(entry)
-        mixture_atoms.extend((s, e * w) for s, w in mu_i.atoms)
-    mixture = AtomicMeasure.from_atoms(mixture_atoms)
-    dv = determinacy_verdict(mixture)
+    dv = determinacy_verdict(mixture(measures, [shift.sq(v) for v in frame.entries]))
     ck.flag("determinate[shifted-orbit]", dv.kind == "determinate_exact", dv.note)
     notes.append("determinacy transfers down single-child edges to the stem orbit sequences")
 

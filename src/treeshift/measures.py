@@ -22,7 +22,7 @@ from .errors import (
     ZeroAtomError,
     ZeroMomentError,
 )
-from .rationals import INF, ONE, ZERO, Scalar, all_exact, as_scalar, mul0
+from .rationals import INF, ONE, ZERO, Scalar, all_exact, as_scalar
 
 
 class _PowerSums:
@@ -145,15 +145,36 @@ class AtomicMeasure:
                 total = total + w * s ** n
         return total
 
-    def tilted(self, n: int) -> "AtomicMeasure":
-        """s^n dmu / m_n (n >= 0, no atom at 0): a positive rescaling, so no ``from_atoms``."""
-        table = self._ascending
-        if table is None:   # a float mass may underflow to 0, which from_atoms would drop
-            norm = self.moment(n)
-            return AtomicMeasure(tuple((s, m) for s, w in self.atoms if (m := w * s ** n / norm) != 0))
-        terms = [a * p ** n for a, p in zip(table.weights, table.bases)]
-        total = sum(terms)
-        return AtomicMeasure(tuple((s, Fraction(a, total)) for (s, _), a in zip(self.atoms, terms)))
+    def tilted(self, n: int, mass: Scalar = ONE) -> "AtomicMeasure":
+        """mass * s^n dmu / m_n for any integer n: every s^n-weighted measure is formed here.
+
+        A positive rescaling of the atoms, so no ``from_atoms``.  For n >= 1 the factor
+        s^n drops an atom at 0; for n < 0 an atom at 0 is an error.  A zero mass, or a
+        vanishing m_n, gives the zero measure.
+        """
+        if n < 0 and self.has_zero_atom():
+            raise ZeroAtomError("measure has an atom at 0, so its negative-power integrals diverge")
+        mass = as_scalar(mass)
+        if mass == 0:
+            return AtomicMeasure(())
+        if self._ascending is None or not isinstance(mass, Fraction):
+            norm = self.moment(n)   # a float mass may underflow to 0, which from_atoms would drop
+            return AtomicMeasure(tuple((s, m) for s, w in self.atoms
+                                       if (s or n <= 0) and (m := mass * w * s ** n / norm) != 0))
+        table = self._ascending if n >= 0 else self._descending
+        terms = [a * p ** abs(n) for a, p in zip(table.weights, table.bases)]
+        num, den = mass.numerator, mass.denominator * sum(terms)
+        return AtomicMeasure(tuple((s, Fraction(num * a, den)) for (s, _), a in zip(self.atoms, terms) if a))
+
+    def with_defect(self, eps) -> "AtomicMeasure":
+        """This measure plus the defect mass eps at 0."""
+        return AtomicMeasure.from_atoms(self.atoms + ((ZERO, eps),)) if eps != 0 else self
+
+
+def mixture(measures: Sequence[AtomicMeasure], weights: Sequence) -> AtomicMeasure:
+    """sum_i e_i mu_i: coincident atoms merge, and a zero weight drops its measure."""
+    return AtomicMeasure.from_atoms((s, e * w) for mu, e in zip(measures, map(as_scalar, weights))
+                                    for s, w in mu.atoms)
 
 
 def moments_of(mu: AtomicMeasure, n: int) -> Scalar:
@@ -192,9 +213,15 @@ def measures_equal(a: AtomicMeasure, b: AtomicMeasure,
     return True
 
 
-def _require_probability(mu: AtomicMeasure, what: str) -> None:
-    if not mu.is_probability(tol=1e-9):
-        raise ValueError(f"{what} must be a probability measure; total mass is {mu.total_mass()}")
+def _validate_branch_measures(measures: Sequence[AtomicMeasure]) -> None:
+    for i, mu in enumerate(measures, 1):
+        if not mu.is_probability(tol=1e-9):
+            raise ValueError(f"branch measure {i} is not a probability measure")
+        if mu.has_zero_atom():
+            raise ZeroAtomError(
+                f"branch measure {i} has an atom at 0; its negative-power integrals diverge "
+                f"and the consistency condition cannot hold"
+            )
 
 
 def parent_measure_from_child(mu: AtomicMeasure, lambda_w_sq) -> AtomicMeasure:
@@ -202,13 +229,15 @@ def parent_measure_from_child(mu: AtomicMeasure, lambda_w_sq) -> AtomicMeasure:
 
     Sends a representing measure of the child's orbit sequence (with finite
     1/s-integral bounded by 1/lambda_w_sq) to a representing measure of the
-    parent's: each atom (s, w) becomes (s, lambda_w_sq*w/s) and the mass
-    defect lands at 0.  Inverse of :func:`child_measure_from_parent`.
+    parent's: lambda_w_sq (1/s) dmu, the tilt of mu by -1 with mass
+    lambda_w_sq * m_{-1}, plus the mass defect at 0.  Inverse of
+    :func:`child_measure_from_parent`.
     """
     lam = as_scalar(lambda_w_sq)
     if lam <= 0:
         raise ValueError("squared weight must be positive")
-    _require_probability(mu, "input measure")
+    if not mu.is_probability(tol=1e-9):
+        raise ValueError(f"input measure must be a probability measure; total mass is {mu.total_mass()}")
     if mu.has_zero_atom():
         raise ZeroAtomError(
             "measure has an atom at 0, so its 1/s-integral is infinite; "
@@ -217,15 +246,11 @@ def parent_measure_from_child(mu: AtomicMeasure, lambda_w_sq) -> AtomicMeasure:
     inv = mu.moment(-1)
     if lam * inv > 1:
         raise NotInDomainError(lam * inv, 1)
-    atoms = [(s, lam * w / s) for s, w in mu.atoms]
-    defect = 1 - lam * inv
-    if defect != 0:
-        atoms.append((ZERO, defect))
-    return AtomicMeasure.from_atoms(atoms)
+    return mu.tilted(-1, lam * inv).with_defect(1 - lam * inv)
 
 
 def child_measure_from_parent(rho: AtomicMeasure, lambda_w_sq) -> AtomicMeasure:
-    """Downward transform: atom (s, w) with s > 0 becomes (s, s*w/lambda_w_sq).
+    """Downward transform: s drho / lambda_w_sq, the tilt of rho by 1.
 
     The atom of rho at 0 is annihilated.  Requires the first moment of rho
     to equal lambda_w_sq, so the result is a probability measure.
@@ -239,8 +264,7 @@ def child_measure_from_parent(rho: AtomicMeasure, lambda_w_sq) -> AtomicMeasure:
             raise NotNormalizableError(first, lam)
     elif abs(float(first) - float(lam)) > 1e-9 * max(1.0, abs(float(lam))):
         raise NotNormalizableError(first, lam)
-    atoms = [(s, s * w / lam) for s, w in rho.atoms if s != 0]
-    return AtomicMeasure.from_atoms(atoms)
+    return rho.tilted(1)
 
 
 def root_measure_from_branches(mus: Sequence[AtomicMeasure],
@@ -249,29 +273,21 @@ def root_measure_from_branches(mus: Sequence[AtomicMeasure],
                                eps=None) -> AtomicMeasure:
     """Assemble the root vertex's measure from the branch measures.
 
-    With stem length kappa = len(left_weight_sq), each branch atom (s, w)
-    contributes P * e_i * w / s**(kappa+1) at location s, where P is the
-    product of the squared stem weights and e_i the squared entry weight;
-    the defect (1 - total) sits at 0.  ``eps`` may pin the defect
-    explicitly, in which case the total mass must come out exactly 1.
+    With stem length kappa = len(left_weight_sq), P the product of the
+    squared stem weights and e_i the squared entry weights, the root carries
+    P sum_i e_i s^-(kappa+1) dmu_i, the tilt of the mixture sum_i e_i mu_i
+    by -(kappa+1), plus the defect (1 - total) at 0.  ``eps`` may pin the
+    defect explicitly, in which case the total mass must come out exactly 1.
     """
     if len(mus) != len(entry_weight_sq):
         raise ValueError("one entry weight per branch measure is required")
     kappa = len(left_weight_sq)
     if kappa < 1:
         raise ValueError("at least one stem weight is required")
-    P = ONE
-    for sq in left_weight_sq:
-        P = P * as_scalar(sq)
-    atoms = []
-    for mu, e in zip(mus, entry_weight_sq):
-        _require_probability(mu, "branch measure")
-        if mu.has_zero_atom():
-            raise ZeroAtomError("branch measure has an atom at 0; negative-power integrals diverge")
-        e = as_scalar(e)
-        for s, w in mu.atoms:
-            atoms.append((s, mul0(P * e, w * s ** (-(kappa + 1)))))
-    body = AtomicMeasure.from_atoms(atoms)
+    _validate_branch_measures(mus)
+    P = math.prod(map(as_scalar, left_weight_sq), start=ONE)
+    mix = mixture(mus, entry_weight_sq)
+    body = mix.tilted(-(kappa + 1), P * mix.moment(-(kappa + 1)))
     total = body.total_mass()
     if eps is None:
         defect = 1 - total
@@ -283,6 +299,4 @@ def root_measure_from_branches(mus: Sequence[AtomicMeasure],
             raise ValueError("explicit defect mass must be nonnegative")
         if total + defect != 1:
             raise MassExceedsOneError(total + defect)
-    if defect != 0:
-        return AtomicMeasure.from_atoms(list(body.atoms) + [(ZERO, defect)])
-    return body
+    return body.with_defect(defect)

@@ -150,6 +150,16 @@ class TestMoments:
         assert code == 0
         assert out.strip() == "(1, 3/4, 1, 3/2)"
 
+    def test_compute_vertex_from_document(self, capsys, tmp_path):
+        path = _write(tmp_path, "a3.json", {**A3_DOC, "vertex": -1})
+        assert run_cli(capsys, "moments", "compute", path, "--upto", "3") == (0, "(1, 1, 3/2, 5/2)\n", "")
+        # --vertex wins over the document, as every other flag does
+        assert run_cli(capsys, "moments", "compute", path, "--vertex", "0", "--upto", "3")[:2] == \
+            (0, "(1, 3/2, 5/2, 9/2)\n")
+        code, out, err = run_cli(capsys, "moments", "compute", _write(tmp_path, "bare.json", A3_DOC))
+        assert (code, out) == (3, "")
+        assert err == "input error: $.vertex: moments compute needs --vertex or the document key vertex\n"
+
     def test_check_violated_exit_one(self, capsys, seq_file):
         code, out, _ = run_cli(capsys, "moments", "check", seq_file)
         assert code == 1

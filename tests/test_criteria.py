@@ -241,6 +241,36 @@ class TestRootMeasureForm:
         assert not cm["prob[0]"].passed
         assert report.verdict == Verdict.VIOLATED
 
+    def test_stem_weights_read_once_or_twice(self, a3_measures):
+        # prob[n] once multiplied the n stem weights below the root afresh for every n:
+        # kappa (kappa + 1) / 2 reads
+        from collections import Counter
+
+        kappa = 2000
+        base = make_branch_shift(2, kappa, a3_measures, [HALF, 1], stem_sq_rule)
+        reads = Counter()
+
+        def sq(v):
+            reads[v] += 1
+            return base.sq(v)
+
+        shift = WeightedShift(base.tree, WeightSystem.from_rule(sq))
+        nu = root_measure_from_branches(a3_measures, [HALF, 1], [stem_sq_rule(j) for j in range(kappa)])
+        report = certify_branch_tree_root_measure(shift, a3_measures, nu, N=3)
+        assert report.verdict == Verdict.CERTIFIED
+        assert sum(c.cid.startswith("prob[") for c in report.checks) == kappa + 1
+        assert max(reads[-j] for j in range(kappa)) <= 2
+
+    def test_zero_stem_weight_fails_prob(self, a3_measures):
+        # a zero weight makes every stem product above it zero; prob[n] divides by none of them
+        weights = WeightSystem.from_sq_map({0: 1, -1: 0, -2: 2, (1, 1): HALF, (2, 1): 1},
+                                           zero_policy=ALLOW_ZERO, default=1)
+        shift = WeightedShift(make_tree_eta_kappa(2, 3), weights)
+        nu = AtomicMeasure.from_atoms([(0, HALF), (1, HALF)])
+        cm = check_map(certify_branch_tree_root_measure(shift, a3_measures, nu, N=3))
+        assert [cm[f"prob[{n}]"].rhs for n in (1, 2, 3)] == [2, 0, 0]
+        assert not cm["prob[1]"].passed and cm["probp[2]"].rhs == 0
+
 
 class TestEquivalenceRoundtrip:
     def test_reference_instance_both_pass(self, a3_shift, a3_measures):
