@@ -39,7 +39,6 @@ from .errors import (
 from .measures import (
     AtomicMeasure,
     child_measure_from_parent,
-    measures_equal,
     moments_of,
     parent_measure_from_child,
     root_measure_from_branches,
@@ -77,10 +76,8 @@ from .report import CertificateReport, Check, Verdict
 from .shifts import (
     WeightSystem,
     WeightedShift,
-    apply_weighted_shift,
     make_branch_shift,
     moment_sequence,
-    orbit_norm_squared,
     synthesize_weights_from_measures,
 )
 from .trees import (
@@ -88,7 +85,6 @@ from .trees import (
     DirectedTree,
     build_tree,
     covering_ancestors,
-    descendants_at_depth,
     format_vertex,
     make_bilateral_chain,
     make_tree_eta_kappa,

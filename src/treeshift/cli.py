@@ -45,7 +45,7 @@ def _emit(report: CertificateReport, args) -> int:
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_text())
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     return report.exit_code()
 
@@ -219,23 +219,27 @@ def cmd_reduce(args) -> int:
     base = parse_vertex(args.base) if args.base is not None else inst.params.get("base", 0)
     k_max = args.kmax if args.kmax is not None else inst.params.get("k_max", 5)
     depth = args.depth if args.depth is not None else inst.params.get("depth", 20)
+    m_max = args.m_max if args.m_max is not None else inst.params.get("m_max")
     report = reduce_rootless(
         inst.shift, base, k_max, depth,
         branch_measures=inst.branch_measures or None,
-        m_max=args.m_max, ell_max=args.ell if args.ell is not None else DEFAULT_ELL,
-        mode=inst.mode, tol=args.tol,
+        m_max=m_max, mode=inst.mode, tol=args.tol,
     )
     return _emit(report, args)
 
 
-def _add_common(p, out=True):
+def _add_mode(p):
     p.add_argument("--mode", choices=["exact", "float"], default=None,
                    help="arithmetic mode (default: document setting, else exact)")
+
+
+def _add_report_options(p):
+    """Options of the commands that emit a certificate report."""
+    _add_mode(p)
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance for float mode")
     p.add_argument("--format", choices=["text", "struct"], default="text",
                    help="stdout format")
-    if out:
-        p.add_argument("--out", default=None, help="write the structured report to this file")
+    p.add_argument("--out", default=None, help="write the structured report to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=["auto", "i", "ii", "iii", "iv"], default="auto")
     p.add_argument("--necessary", action="store_true",
                    help="run the determinacy-based necessary-condition pipeline instead")
-    _add_common(p)
+    _add_report_options(p)
     p.set_defaults(func=cmd_certify)
 
     m = sub.add_parser("moments", help="moment-sequence utilities")
@@ -265,25 +269,25 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("path")
     mc.add_argument("--vertex", default=None, help="default: the document key vertex")
     mc.add_argument("--upto", type=int, default=10)
-    _add_common(mc, out=False)
+    _add_mode(mc)
     mc.set_defaults(func=cmd_moments_compute)
 
     mk = msub.add_parser("check", help="Hankel positivity check of a sequence document")
     mk.add_argument("path")
     mk.add_argument("--window", type=int, default=None, help="shifts to check for two-sided input")
-    _add_common(mk)
+    _add_report_options(mk)
     mk.set_defaults(func=cmd_moments_check)
 
     mr = msub.add_parser("recover", help="recover an atomic measure from a sequence document")
     mr.add_argument("path")
     mr.add_argument("--atoms", type=int, required=True)
-    _add_common(mr, out=False)
+    _add_mode(mr)
     mr.set_defaults(func=cmd_moments_recover)
 
     ml = msub.add_parser("carleman", help="partial sum of the determinacy series")
     ml.add_argument("path")
     ml.add_argument("--upto", type=int, default=None)
-    _add_common(ml, out=False)
+    _add_mode(ml)
     ml.set_defaults(func=cmd_moments_carleman)
 
     t = sub.add_parser("tree", help="tree utilities")
@@ -300,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--base", default=None)
     r.add_argument("--kmax", type=int, default=None)
     r.add_argument("--depth", type=int, default=None)
-    r.add_argument("--ell", type=int, default=None)
     r.add_argument("--m-max", dest="m_max", type=int, default=None)
-    _add_common(r)
+    _add_report_options(r)
     r.set_defaults(func=cmd_reduce)
 
     return parser
@@ -310,7 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "inconclusive";
+        # --help and --version exit 0 and pass through
+        if exc.code == 2:
+            return EXIT_INPUT_ERROR
+        raise
     try:
         return args.func(args)
     except InstanceError as exc:

@@ -815,18 +815,20 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
 
 def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
                     branch_measures: Optional[Sequence[AtomicMeasure]] = None,
-                    m_max: Optional[int] = None, ell_max: int = DEFAULT_ELL,
-                    mode: str = "auto", tol: float = 1e-9) -> CertificateReport:
+                    m_max: Optional[int] = None, mode: str = "auto",
+                    tol: float = 1e-9) -> CertificateReport:
     """Covering reduction for rootless trees.
 
     Certifies the rooted subtree below each ancestor parent^k(base) for
     k = 1..k_max by dispatching to the applicable rooted criterion; the
     union of those descendant sets over all k covers the whole tree, so the
-    aggregate is the window-bounded form of the subtree equivalence.  Every
+    aggregate is the window-bounded form of the subtree equivalence.  Each
+    subtree is rooted, so a branching one has a finite stem and never
+    reaches case iv, which alone reads ell_max.  Every
     subtree's frame is found, and the work (depth + stem + 1 summed over the
     ancestors) bounded, before any certificate runs.
     """
-    _require_orders(k_max=k_max, depth=N, ell=ell_max)
+    _require_orders(k_max=k_max, depth=N)
     if k_max == 0:
         raise ValueError("k_max must be at least 1, got 0")
     tree = shift.tree
@@ -849,8 +851,7 @@ def reduce_rootless(shift: WeightedShift, base, k_max: int, N: int,
         else:
             if branch_measures is None:
                 raise ValueError("branch measures are required for branching subtrees")
-            rep = certify_branch_tree(subshift, branch_measures, N, ell_max=ell_max,
-                                      mode=mode, tol=tol)
+            rep = certify_branch_tree(subshift, branch_measures, N, mode=mode, tol=tol)
         parts.append((f"des[{format_vertex(omega)}]", rep))
     notes = [
         f"window-bounded reduction: ancestors k <= {k_max} certified; "

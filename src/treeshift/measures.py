@@ -200,19 +200,6 @@ def moment_ratio_rule(mu: AtomicMeasure) -> Callable[[int], Scalar]:
     return ratio
 
 
-def measures_equal(a: AtomicMeasure, b: AtomicMeasure,
-                   loc_tol: float = 1e-10, mass_tol: float = 1e-10) -> bool:
-    """Atom-set equality; exact when both measures are rational."""
-    if a.is_exact() and b.is_exact():
-        return a.atoms == b.atoms
-    if len(a.atoms) != len(b.atoms):
-        return False
-    for (sa, wa), (sb, wb) in zip(a.atoms, b.atoms):
-        if abs(float(sa) - float(sb)) > loc_tol or abs(float(wa) - float(wb)) > mass_tol:
-            return False
-    return True
-
-
 def _validate_branch_measures(measures: Sequence[AtomicMeasure]) -> None:
     for i, mu in enumerate(measures, 1):
         if not mu.is_probability(tol=1e-9):

@@ -118,17 +118,6 @@ def format_human(x) -> str:
     return repr(f)
 
 
-def rational_sqrt(x: Fraction):
-    """Exact square root when x is a perfect square of a rational, else None."""
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def log_scalar(x: Scalar) -> float:
     """Natural log, safe for rationals far outside float range."""
     if isinstance(x, Fraction):

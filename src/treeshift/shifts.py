@@ -1,9 +1,8 @@
-"""Weight systems and the weighted-shift action on finitely supported functions.
+"""Weight systems and the orbit norms of weighted shifts on directed trees.
 
-All criteria consume only squared moduli |lambda_v|^2, so weights are stored
-that way and phases are dropped on input.  The action itself (needed for the
-cross-check against path-sum moments) uses amplitudes when they were given
-exactly, and falls back to square roots otherwise.
+All criteria consume only squared moduli |lambda_v|^2, and a shift is
+unitarily equivalent to the shift with weights |lambda_v|, so weights are
+stored as squared moduli and phases are dropped on input.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .errors import WeightUndefinedError, WrongTreeShapeError, ZeroWeightError
 from .measures import AtomicMeasure, moment_ratio_rule
 from .moments import MomentSequence
-from .rationals import ONE, ZERO, Scalar, as_scalar, rational_sqrt
+from .rationals import ONE, ZERO, Scalar, as_scalar
 from .trees import KAPPA_INF, DirectedTree, format_vertex, make_tree_eta_kappa, walk_levels
 
 NONZERO_REQUIRED = "nonzero_required"
@@ -25,16 +24,14 @@ ALLOW_ZERO = "allow_zero"
 class WeightSystem:
     """Total map from non-root vertices to squared weight moduli.
 
-    Construct via :meth:`from_sq_map`, :meth:`from_amplitudes` or
-    :meth:`from_rule`.  Caching inside rule-based systems only ever adds
-    entries, so concurrent readers see a consistent view.
+    Construct via :meth:`from_sq_map` or :meth:`from_rule`.  Caching inside
+    rule-based systems only ever adds entries, so concurrent readers see a
+    consistent view.
     """
 
-    def __init__(self, sq_fn: Callable, amp_fn: Optional[Callable] = None,
-                 zero_policy: str = NONZERO_REQUIRED,
+    def __init__(self, sq_fn: Callable, zero_policy: str = NONZERO_REQUIRED,
                  domain: Optional[frozenset] = None):
         self._sq_fn = sq_fn
-        self._amp_fn = amp_fn
         self.zero_policy = zero_policy
         self.domain = domain
 
@@ -55,38 +52,6 @@ class WeightSystem:
         return cls(sq, zero_policy=zero_policy, domain=domain)
 
     @classmethod
-    def from_amplitudes(cls, mapping: Mapping, zero_policy: str = NONZERO_REQUIRED) -> "WeightSystem":
-        """Weights given as amplitudes: real/rational, complex, or (re, im) pairs."""
-        amps = {}
-        sqs = {}
-        for v, a in mapping.items():
-            if isinstance(a, tuple):
-                re, im = as_scalar(a[0]), as_scalar(a[1])
-                amps[v] = complex(float(re), float(im)) if im != 0 else re
-                sqs[v] = re * re + im * im
-            elif isinstance(a, complex):
-                amps[v] = a
-                sqs[v] = a.real * a.real + a.imag * a.imag
-            else:
-                a = as_scalar(a)
-                amps[v] = a
-                sqs[v] = a * a
-
-        def sq(v):
-            try:
-                return sqs[v]
-            except KeyError:
-                raise WeightUndefinedError(v) from None
-
-        def amp(v):
-            try:
-                return amps[v]
-            except KeyError:
-                raise WeightUndefinedError(v) from None
-
-        return cls(sq, amp, zero_policy=zero_policy, domain=frozenset(sqs))
-
-    @classmethod
     def from_rule(cls, sq_fn: Callable, zero_policy: str = NONZERO_REQUIRED) -> "WeightSystem":
         return cls(sq_fn, zero_policy=zero_policy)
 
@@ -100,17 +65,6 @@ class WeightSystem:
         if value == 0 and self.zero_policy == NONZERO_REQUIRED:
             raise ZeroWeightError(v)
         return value
-
-    def amp(self, v):
-        """Amplitude; exact when supplied or when sq(v) is a perfect square."""
-        if self._amp_fn is not None:
-            return self._amp_fn(v)
-        s = self.sq(v)
-        if isinstance(s, Fraction):
-            r = rational_sqrt(s)
-            if r is not None:
-                return r
-        return float(s) ** 0.5
 
 
 @dataclass(frozen=True)
@@ -131,36 +85,6 @@ class WeightedShift:
         if self.tree.root is not None and v == self.tree.root:
             raise WeightUndefinedError(v)
         return self.weights.sq(v)
-
-    def amp(self, v):
-        if self.tree.root is not None and v == self.tree.root:
-            raise WeightUndefinedError(v)
-        return self.weights.amp(v)
-
-
-def apply_weighted_shift(shift: WeightedShift, f: Mapping) -> dict:
-    """One application of the shift to a finitely supported function.
-
-    The image at a non-root vertex v is amp(v) * f(parent(v)); equivalently
-    the support moves one level down along every child edge.
-    """
-    out: dict = {}
-    for u, value in f.items():
-        if value == 0:
-            continue
-        for c in shift.tree.children(u):
-            out[c] = shift.amp(c) * value
-    return out
-
-
-def orbit_norm_squared(f: Mapping) -> Scalar:
-    total = ZERO
-    for value in f.values():
-        if isinstance(value, complex):
-            total = total + value.real * value.real + value.imag * value.imag
-        else:
-            total = total + value * value
-    return total
 
 
 def moment_sequence(shift: WeightedShift, u, N: int) -> MomentSequence:

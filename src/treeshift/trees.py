@@ -302,16 +302,6 @@ def walk_up(tree: DirectedTree, v: VertexId):
     return up(v)
 
 
-def descendants_at_depth(tree: DirectedTree, u: VertexId, n: int) -> list:
-    """Vertices exactly n child-steps below u, in child order."""
-    if n < 0:
-        raise ValueError("depth must be nonnegative")
-    layer = [u]
-    for edges in walk_levels(tree, u, n):
-        layer = [c for _, c in edges]
-    return layer
-
-
 def subtree_at(tree: DirectedTree, u: VertexId) -> DirectedTree:
     """The rooted tree on the descendants of u, children unchanged.
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from treeshift.cli import main
 
+DATA = Path(__file__).parent / "data"
+
 A3_DOC = {
     "tree": {"kind": "eta_kappa", "eta": 2, "kappa": 1},
     "weights": {
@@ -364,6 +366,63 @@ def _write(tmp_path, name, doc):
     return str(path)
 
 
+class TestDocumentKeys:
+    def test_reduce_reads_m_max(self, capsys, tmp_path):
+        doc = {**json.loads((DATA / "bilateral.json").read_text()), "m_max": 1}
+        path = _write(tmp_path, "bilateral-m1.json", doc)
+        argv = ("--kmax", "1", "--depth", "4")
+        code, from_doc, _ = run_cli(capsys, "reduce", path, *argv)
+        assert code == 0
+        code, from_flag, _ = run_cli(capsys, "reduce", str(DATA / "bilateral.json"), *argv, "--m-max", "1")
+        assert code == 0
+        assert from_doc.count("mass[") == from_flag.count("mass[") == 4
+        _, unset, _ = run_cli(capsys, "reduce", str(DATA / "bilateral.json"), *argv)
+        assert "mass[" not in unset
+        # the flag wins over the document key
+        _, overridden, _ = run_cli(capsys, "reduce", path, *argv, "--m-max", "0")
+        assert "mass[" not in overridden
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_amplitude_is_squared(self, capsys, tmp_path, mode):
+        reports = []
+        for spec in ({"sq": "9/4"}, {"amp": "-3/2"}):
+            doc = json.loads(json.dumps(A3_DOC))
+            doc["weights"]["map"]["0"] = spec
+            path = _write(tmp_path, "stem.json", doc)
+            code, out, _ = run_cli(capsys, "certify", path, "--depth", "6", "--mode", mode,
+                                   "--format", "struct")
+            assert code == 1  # a stem weight of 9/4 breaks the stem inequality
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["arithmetic"] == mode
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["certify", str(DATA / "a3.json"), "--depth", "abc"],
+        ["reduce", str(DATA / "bilateral.json"), "--ell", "5"],
+        ["moments", "compute", str(DATA / "a3.json"), "--vertex", "0", "--format", "struct"],
+        ["moments", "compute", str(DATA / "a3.json"), "--vertex", "0", "--tol", "0.1"],
+        ["moments", "recover", str(DATA / "a3_orbit.json"), "--atoms", "2", "--format", "struct"],
+        ["moments", "recover", str(DATA / "a3_orbit.json"), "--atoms", "2", "--tol", "0.1"],
+        ["moments", "carleman", str(DATA / "a3_orbit.json"), "--format", "struct"],
+        ["moments", "carleman", str(DATA / "a3_orbit.json"), "--tol", "0.1"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_three(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "usage: treeshift" in err
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["reduce", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "treeshift" in capsys.readouterr().out
+
+
 class TestShapeAndRuleErrors:
     def test_zero_mass_ratio_rule_is_an_error(self, capsys, tmp_path):
         doc = json.loads(json.dumps(A3_DOC))
@@ -400,10 +459,6 @@ class TestShapeAndRuleErrors:
         code, _, err = run_cli(capsys, "certify", _write(tmp_path, "two.json", doc))
         assert code == 3
         assert "more than one branching vertex: 0, 1" in err
-
-
-
-DATA = Path(__file__).parent / "data"
 
 
 class TestNegativeOrders:

@@ -144,22 +144,12 @@ class TestRootMeasure:
 
 class TestMeasureEquality:
     def test_exact_equality(self):
-        from treeshift import measures_equal
-
+        # from_atoms merges coincident atoms and sorts them, so equal measures have equal atoms
         a = AtomicMeasure.from_atoms([(1, HALF), (2, HALF)])
         b = AtomicMeasure.from_atoms([(2, HALF), (1, HALF)])
-        assert measures_equal(a, b)
+        assert a.atoms == b.atoms
         c = AtomicMeasure.from_atoms([(1, HALF), (2, Fraction(1, 3)), (2, Fraction(1, 6))])
-        assert measures_equal(a, c)
-
-    def test_float_tolerance(self):
-        from treeshift import measures_equal
-
-        a = AtomicMeasure.from_atoms([(1.0, 0.5), (2.0, 0.5)])
-        b = AtomicMeasure.from_atoms([(1.0 + 1e-12, 0.5), (2.0, 0.5 - 1e-12)])
-        c = AtomicMeasure.from_atoms([(1.0 + 1e-6, 0.5), (2.0, 0.5)])
-        assert measures_equal(a, b)
-        assert not measures_equal(a, c)
+        assert a.atoms == c.atoms
 
 
 class TestMomentRatioRule:

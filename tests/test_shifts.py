@@ -11,13 +11,11 @@ from treeshift import (
     WeightedShift,
     WeightUndefinedError,
     ZeroWeightError,
-    apply_weighted_shift,
     build_tree,
     make_branch_shift,
     make_tree_eta_kappa,
     moment_sequence,
     moments_of,
-    orbit_norm_squared,
     synthesize_weights_from_measures,
 )
 from treeshift.rationals import ZERO
@@ -31,37 +29,6 @@ def chain_shift(*sqs):
     edges = [(i, i + 1) for i in range(len(sqs))]
     tree = build_tree(edges)
     return WeightedShift(tree, WeightSystem.from_sq_map({i + 1: sq for i, sq in enumerate(sqs)}))
-
-
-class TestApply:
-    def test_branch_spread(self):
-        tree = make_tree_eta_kappa(2, 0)
-        shift = WeightedShift(tree, WeightSystem.from_amplitudes({(1, 1): 3, (2, 1): 5,
-                                                                  (1, 2): 1, (2, 2): 1}))
-        out = apply_weighted_shift(shift, {0: Fraction(1)})
-        assert out == {(1, 1): Fraction(3), (2, 1): Fraction(5)}
-
-    def test_zero_function(self):
-        tree = make_tree_eta_kappa(2, 0)
-        shift = WeightedShift(tree, WeightSystem.from_rule(lambda v: Fraction(1)))
-        assert apply_weighted_shift(shift, {}) == {}
-
-    def test_chain_two_supports(self):
-        tree = build_tree([(0, 1), (1, 2)])
-        shift = WeightedShift(tree, WeightSystem.from_amplitudes({1: 2, 2: 3}))
-        out = apply_weighted_shift(shift, {0: Fraction(1), 1: Fraction(1)})
-        assert out == {1: Fraction(2), 2: Fraction(3)}
-
-    def test_iterated_application_matches_path_sums(self):
-        tree = make_tree_eta_kappa(2, 0)
-        amps = {(1, j): Fraction(j) for j in range(1, 6)}
-        amps.update({(2, j): Fraction(1, j) for j in range(1, 6)})
-        shift = WeightedShift(tree, WeightSystem.from_amplitudes(amps))
-        t = moment_sequence(shift, 0, 4)
-        f = {0: Fraction(1)}
-        for n in range(1, 5):
-            f = apply_weighted_shift(shift, f)
-            assert orbit_norm_squared(f) == t[n]
 
 
 class TestMomentSequence:
@@ -219,19 +186,8 @@ class TestWeightSystems:
         ws = WeightSystem.from_sq_map({1: 0}, zero_policy=ALLOW_ZERO)
         assert ws.sq(1) == 0
 
-    def test_complex_amplitude_reduces_to_squared_modulus(self):
-        ws = WeightSystem.from_amplitudes({1: (Fraction(3, 5), Fraction(4, 5))})
-        assert ws.sq(1) == 1
-
     def test_missing_weight_on_finite_tree(self):
         tree = build_tree([(0, 1), (1, 2)])
         with pytest.raises(WeightUndefinedError):
             WeightedShift(tree, WeightSystem.from_sq_map({1: Fraction(1)}))
 
-    def test_amp_from_sq_perfect_square(self):
-        ws = WeightSystem.from_sq_map({1: Fraction(4, 9)})
-        assert ws.amp(1) == Fraction(2, 3)
-
-    def test_amp_from_sq_irrational(self):
-        ws = WeightSystem.from_sq_map({1: Fraction(2)})
-        assert ws.amp(1) == pytest.approx(2 ** 0.5)

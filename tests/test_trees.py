@@ -14,10 +14,10 @@ from treeshift import (
     UnknownVertexError,
     build_tree,
     covering_ancestors,
-    descendants_at_depth,
     make_tree_eta_kappa,
     subtree_at,
 )
+from treeshift.trees import walk_levels
 from conftest import edge_trees
 
 
@@ -107,25 +107,33 @@ class TestGeneratedFamily:
         assert steps == 3 + 4
 
 
+def _layer(tree, u, n):
+    """The vertices n child-steps below u: the children of the last level walk_levels yields."""
+    levels = list(walk_levels(tree, u, n))
+    return [c for _, c in levels[-1]] if levels else [u]
+
+
 class TestDescendants:
     def test_depth_zero_is_identity(self):
         tree = make_tree_eta_kappa(2, 0)
-        assert descendants_at_depth(tree, 0, 0) == [0]
+        assert list(walk_levels(tree, 0, 0)) == []
+        assert _layer(tree, 0, 0) == [0]
 
     def test_depth_two_from_branching_vertex(self):
         tree = make_tree_eta_kappa(2, 0)
-        assert descendants_at_depth(tree, 0, 2) == [(1, 2), (2, 2)]
+        assert list(walk_levels(tree, 0, 2)) == [[(0, (1, 1)), (0, (2, 1))],
+                                                  [((1, 1), (1, 2)), ((2, 1), (2, 2))]]
 
     def test_stem_child(self):
         tree = make_tree_eta_kappa(2, 1)
-        assert descendants_at_depth(tree, -1, 1) == [0]
+        assert list(walk_levels(tree, -1, 1)) == [[(-1, 0)]]
 
     @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 4))
     def test_layer_recursion(self, eta, kappa, n):
         tree = make_tree_eta_kappa(eta, kappa)
         u = -kappa
-        direct = descendants_at_depth(tree, u, n + 1)
-        via_children = [w for c in tree.children(u) for w in descendants_at_depth(tree, c, n)]
+        direct = _layer(tree, u, n + 1)
+        via_children = [w for c in tree.children(u) for w in _layer(tree, c, n)]
         assert direct == via_children
         assert len(set(direct)) == len(direct)
 
