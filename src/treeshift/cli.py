@@ -9,6 +9,7 @@ document (byte-identical across runs in exact mode).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -26,12 +27,7 @@ from .criteria import (
 )
 from .errors import InstanceError, MeasureRecoveryError, TreeShiftError
 from .instance import Instance, load_instance
-from .moments import (
-    carleman_partial_sum,
-    recover_atomic_measure,
-    stieltjes_check,
-    two_sided_stieltjes_check,
-)
+from .moments import carleman_partial_sum, recover_atomic_measure, stieltjes_check, two_sided_stieltjes_check
 from .rationals import format_human
 from .report import CertificateReport, Verdict, check_psd, witness_check
 from .shifts import moment_sequence
@@ -48,6 +44,13 @@ def _emit(report: CertificateReport, args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
     return report.exit_code()
+
+
+def _unread(where: str, **given) -> None:
+    """Reject a flag given on the command line that ``where`` never reads."""
+    flag = next((name for name, value in given.items() if value), None)
+    if flag is not None:
+        raise ValueError(f"--{flag} is not read by {where}")
 
 
 def _sequence_of(inst: Instance, what: str):
@@ -90,15 +93,15 @@ def cmd_certify(args) -> int:
     tree = inst.tree
 
     if args.necessary:
+        _unread("certify --necessary", case=args.case != "auto", window=args.window is not None)
         report = necessary_checks_determinate(inst.shift, depth, m_max, mode=mode, tol=args.tol)
         return _emit(report, args)
 
-    if tree.eta_kappa is None and tree.root is None:
-        report = certify_bilateral(inst.shift, window, depth, m_max=m_max, mode=mode, tol=args.tol)
-        return _emit(report, args)
-
-    if branch_frame(inst.shift) is None:
-        report = certify_unilateral(inst.shift, depth, m_max=m_max, mode=mode, tol=args.tol)
+    bilateral = tree.eta_kappa is None and tree.root is None
+    if bilateral or branch_frame(inst.shift) is None:
+        _unread("certify on a chain", case=args.case != "auto")
+        report = (certify_bilateral(inst.shift, window, depth, m_max=m_max, mode=mode, tol=args.tol) if bilateral
+                  else certify_unilateral(inst.shift, depth, m_max=m_max, mode=mode, tol=args.tol))
         return _emit(report, args)
 
     if not inst.branch_measures:
@@ -147,6 +150,7 @@ def cmd_moments_check(args) -> int:
         K = args.window if args.window is not None else -inst.two_sided.lo
         verdict = two_sided_stieltjes_check(inst.two_sided, K, mode=inst.mode, tol=args.tol)
     else:
+        _unread("moments check on a one-sided sequence", window=args.window is not None)
         verdict = stieltjes_check(_sequence_of(inst, "moments check"), mode=inst.mode, tol=args.tol)
     report = _stieltjes_report(verdict, "document sequence", inst.mode)
     return _emit(report, args)
@@ -322,14 +326,18 @@ def main(argv=None) -> int:
             return EXIT_INPUT_ERROR
         raise
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): the result reached no one, so exit 3 quietly,
+        # with the rest of the output sent to the null device instead of failing again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
     except InstanceError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT_ERROR
-    except TreeShiftError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (TreeShiftError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
 

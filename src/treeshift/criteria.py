@@ -546,7 +546,7 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     the stem equalities for l below the stem length, and the final
     inequality (widly1'); infinite stem -> equalities for l up to ell_max.
     """
-    _require_orders(depth=N, ell=ell_max)
+    _require_orders(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
@@ -560,6 +560,8 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
         raise CaseMismatchError("the root-measure form is checked by certify_branch_tree_root_measure")
     elif case != auto:
         raise CaseMismatchError(f"stem length {frame.kappa} selects case {auto}, not {case}")
+    if case == "iv":   # the one case that reads ell_max, so the one its ceiling applies to
+        _require_orders(ell=ell_max)
 
     ck = _Checker(mode, tol)
     _zgod0_checks(ck, shift, frame, branch_measures, N)

@@ -22,7 +22,7 @@ from .errors import (
     ZeroAtomError,
     ZeroMomentError,
 )
-from .rationals import INF, ONE, ZERO, Scalar, all_exact, as_scalar
+from .rationals import INF, ONE, ZERO, Scalar, as_scalar
 
 
 class _PowerSums:
@@ -111,7 +111,7 @@ class AtomicMeasure:
         return 0 in self._masses
 
     def is_exact(self) -> bool:
-        return all_exact(x for atom in self.atoms for x in atom)
+        return all(isinstance(x, Fraction) for atom in self.atoms for x in atom)
 
     def is_probability(self, tol: float = 0.0) -> bool:
         total = self.total_mass()

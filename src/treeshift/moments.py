@@ -14,29 +14,29 @@ falls back to a symmetric-eigenvalue lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import (
-    MeasureRecoveryError,
-    NegativeEntryError,
-    WindowTooSmallError,
-    ZeroEntryError,
-)
+from .errors import MeasureRecoveryError, NegativeEntryError, WindowTooSmallError, ZeroEntryError
 from .measures import AtomicMeasure
-from .rationals import (
-    ONE,
-    ZERO,
-    Scalar,
-    all_exact,
-    as_scalar,
-    carleman_term,
-    format_human,
-    to_float,
-)
+from .rationals import ZERO, Scalar, as_scalar, carleman_term, format_human, to_float
 
 DEFAULT_PSD_TOL = 1e-9
+
+
+def _scan(values, lo: int = 0, strict: bool = False) -> bool:
+    """Whether every entry is a Fraction, in one pass that raises NegativeEntryError (t_{lo + i})
+    at the first entry < 0, or <= 0 when ``strict``; a Fraction's sign is its numerator's."""
+    exact = True
+    for i, v in enumerate(values):
+        if isinstance(v, Fraction):
+            x = v.numerator
+        else:
+            x, exact = v, False
+        if x <= 0 if strict else x < 0:
+            raise NegativeEntryError(lo + i, v, "strictly positive" if strict else "nonnegative")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,16 @@ class MomentSequence:
     """Finite prefix (t_0, ..., t_N) of a nonnegative sequence."""
 
     values: Tuple[Scalar, ...]
+    exact: bool = field(init=False, repr=False, compare=False)   # every entry a Fraction
 
     def __post_init__(self):
-        for i, v in enumerate(self.values):
-            if v < 0:
-                raise NegativeEntryError(i, v)
+        object.__setattr__(self, "exact", _scan(self.values))
 
     @staticmethod
     def coerce(seq) -> "MomentSequence":
         if isinstance(seq, MomentSequence):
             return seq
-        return MomentSequence(tuple(as_scalar(v) for v in seq))
+        return MomentSequence(tuple(map(as_scalar, seq)))
 
     def __len__(self):
         return len(self.values)
@@ -69,15 +68,12 @@ class TwoSidedMomentSequence:
 
     lo: int
     values: Tuple[Scalar, ...]
+    exact: bool = field(init=False, repr=False, compare=False)   # every entry a Fraction
 
     def __post_init__(self):
-        if self.lo > 0:
+        if self.lo > 0 or self.lo + len(self.values) - 1 < 0:
             raise ValueError("window must contain index 0")
-        if self.lo + len(self.values) - 1 < 0:
-            raise ValueError("window must contain index 0")
-        for i, v in enumerate(self.values):
-            if v <= 0:
-                raise NegativeEntryError(self.lo + i, v, needs="strictly positive")
+        object.__setattr__(self, "exact", _scan(self.values, self.lo, strict=True))
 
     @staticmethod
     def from_map(mapping) -> "TwoSidedMomentSequence":
@@ -113,9 +109,7 @@ class HankelWitness:
         return max(self.indices)
 
     def describe(self) -> str:
-        rows = "; ".join(
-            "[" + ", ".join(format_human(x) for x in row) + "]" for row in self.entries
-        )
+        rows = "; ".join("[" + ", ".join(format_human(x) for x in row) + "]" for row in self.entries)
         label = self.kind
         if self.two_sided_shift is not None:
             label += f" (shift {self.two_sided_shift})"
@@ -286,6 +280,12 @@ def _wall_det(s) -> Optional[Scalar]:
     return Fraction(num, den)
 
 
+def _lowest(p: int, q: int) -> Tuple[int, int]:
+    """p / q (q > 0) in lowest terms."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def _chebyshev(t, n: int):
     """Chebyshev's table of t_0..t_N up to row n, or to the first row with h_k <= 0.
 
@@ -296,23 +296,27 @@ def _chebyshev(t, n: int):
     (Gautschi 2004, section 2.1): sigma_{k+1,l} = sigma_{k,l+1} - alpha_k sigma_{k,l}
     - beta_k sigma_{k-1,l}, alpha_k = sigma_{k,k+1} / h_k - sigma_{k-1,k} / h_{k-1},
     beta_k = h_k / h_{k-1}.  Rows are kept fraction-free: rows[k] is the
-    primitive integer vector with sigma_{k,k+i} = rows[k][i] / dens[k], dens[k] > 0.
-    Returns (rows, dens, alpha, beta).
+    primitive integer vector with sigma_{k,k+i} = rows[k][i] / D_k, D_k > 0 (any D_k
+    for an all-zero row).  dens[k] = D_k, alpha_k and beta_k are integer pairs p / q
+    in lowest terms with q > 0, one gcd each.  Returns (rows, dens, alpha, beta).
     """
     den = math.lcm(*(x.denominator for x in t))
     # a row -1 of (1, 0, 0, ...) with scale 1 makes the first step the general one
     row0 = [x.numerator * (den // x.denominator) for x in t]
-    rows, dens = [[1] + [0] * len(t), row0], [1, Fraction(den)]
+    rows, dens = [[1] + [0] * len(t), row0], [(1, 1), (den, 1)]
     alpha, beta = [], []
     while len(rows) <= n + 1 and rows[-1][0] > 0:
         v, u = rows[-2:]   # u0 v0 D_k sigma_{k+1,l} = u0 v0 u_{l+1} - (u1 v0 - v1 u0) u_l - u0^2 v_l
         a, b, c = u[0] * v[0], u[1] * v[0] - v[1] * u[0], u[0] * u[0]
-        alpha.append(Fraction(b, a))
-        beta.append(Fraction(u[0], v[0]) * dens[-2] / dens[-1])
+        e = math.gcd(a, b, c)   # most of the next row's content, taken out before the O(N) products
+        a, b, c = a // e, b // e, c // e
         nxt = [a * y - b * x - c * z for x, y, z in zip(u[1:], u[2:], v[2:])]
         g = math.gcd(*nxt) or 1
-        rows.append([x // g for x in nxt])
-        dens.append(a * dens[-1] / g)
+        rows.append([x // g for x in nxt] if g > 1 else nxt)
+        (p0, q0), (p1, q1) = dens[-2:]   # beta_k = h_k / h_{k-1} with h_k = u0 / D_k
+        alpha.append(_lowest(b, a))
+        beta.append(_lowest(u[0] * p0 * q1, v[0] * q0 * p1))
+        dens.append(_lowest(a * p1, q1 * g))
     return rows[1:], dens[1:], alpha, beta
 
 
@@ -367,7 +371,7 @@ def _form_violation(t, depth: Optional[int] = None):
     for j in range(1, K + 1):
         row = rows[j - 1]
         # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale, scale = row[0] dens[j-1] = sp / sq > 0
-        sp, sq = row[0] * dens[j - 1].numerator, dens[j - 1].denominator
+        sp, sq = row[0] * dens[j - 1][0], dens[j - 1][1]
         for r, x in zip(range(j, n), row[1:]):
             p, q = num[r] * sp - den[r] * sq * x * x, den[r] * sp
             g = gcd(p, q)
@@ -378,11 +382,13 @@ def _form_violation(t, depth: Optional[int] = None):
 
 
 def _pi_at_zero(table, n: int) -> list:
-    """q_1..q_n, q_j = (-1)^j pi_j(0), as far as ``table`` reaches: q_{j+1} = alpha_j q_j - beta_j q_{j-1}."""
+    """q_1..q_n, q_j = (-1)^j pi_j(0), as far as ``table`` reaches: q_{j+1} = alpha_j q_j - beta_j q_{j-1},
+    each an integer pair in lowest terms with a positive denominator, so its sign is its numerator's."""
     _, _, alpha, beta = table
-    q = [ZERO, ONE]   # q_{-1}, q_0, q_1, ...
-    for a, b in zip(alpha[:n], beta):
-        q.append(a * q[-1] - b * q[-2])
+    q = [(0, 1), (1, 1)]   # q_{-1}, q_0, q_1, ...
+    for (ap, aq), (bp, bq) in zip(alpha[:n], beta):
+        (p0, q0), (p1, q1) = q[-2:]
+        q.append(_lowest(ap * p1 * bq * q0 - bp * p0 * aq * q1, aq * q1 * bq * q0))
     return q[2:]
 
 
@@ -405,9 +411,9 @@ def _shifted_proven(table, N: int) -> bool:
     K = len(q)
     if K < n and (rows[K][0] or any(rows[K][:2 * (n - K)])):
         return False
-    if q and not q[-1]:
+    if q and not q[-1][0]:
         q.pop()
-    return all(x > 0 for x in q)
+    return all(p > 0 for p, _ in q)
 
 
 def _window_proven(s) -> bool:
@@ -432,7 +438,7 @@ def _window_proven(s) -> bool:
     table = _chebyshev(s, (N + 1) // 2)
     rows = table[0]
     r = next((k for k, row in enumerate(rows[:N // 2 + 1]) if row[0] <= 0), None)
-    return (r is None or not any(rows[r])) and all(x > 0 for x in _pi_at_zero(table, (N + 1) // 2))
+    return (r is None or not any(rows[r])) and all(p > 0 for p, _ in _pi_at_zero(table, (N + 1) // 2))
 
 
 def _witness_from_indices(kind, values, offset: int, indices, shift=None) -> HankelWitness:
@@ -469,25 +475,17 @@ def psd_violation_float(matrix, tol: float, kind: str) -> Optional[HankelWitness
     low = float(eigvals.min())
     if low >= bound:
         return None
-    return HankelWitness(
-        kind=kind,
-        indices=tuple(range(arr.shape[0])),
-        entries=tuple(tuple(row) for row in matrix),
-        det=None,
-        min_eigenvalue=low,
-    )
+    return HankelWitness(kind=kind, indices=tuple(range(arr.shape[0])),
+                         entries=tuple(tuple(row) for row in matrix), det=None, min_eigenvalue=low)
 
 
-def resolve_mode(values, mode: str) -> str:
-    if mode == "auto":
-        return "exact" if all_exact(values) else "float"
-    if mode == "exact":
-        if not all_exact(values):
-            raise ValueError("exact mode requires rational inputs throughout")
-        return "exact"
-    if mode == "float":
-        return "float"
-    raise ValueError(f"unknown arithmetic mode {mode!r}")
+def resolve_mode(exact: bool, mode: str) -> str:
+    """The arithmetic for a sequence whose entries are all Fractions exactly when ``exact``."""
+    if mode not in ("auto", "exact", "float"):
+        raise ValueError(f"unknown arithmetic mode {mode!r}")
+    if mode == "exact" and not exact:
+        raise ValueError("exact mode requires rational inputs throughout")
+    return "exact" if exact and mode != "float" else "float"
 
 
 def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> StieltjesVerdict:
@@ -506,7 +504,7 @@ def stieltjes_check(t, mode: str = "auto", tol: float = DEFAULT_PSD_TOL) -> Stie
     t = MomentSequence.coerce(t)
     if len(t) < 1:
         raise ValueError("need at least t_0")
-    witness = _violation(t.values, resolve_mode(t.values, mode), tol)
+    witness = _violation(t.values, resolve_mode(t.exact, mode), tol)
     return StieltjesVerdict(kind="consistent" if witness is None else "violated",
                             upto=len(t) - 1, witness=witness)
 
@@ -552,11 +550,11 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
         raise ValueError(f"window must be nonnegative, got {K}")
     if K > -ts.lo:
         raise WindowTooSmallError(-ts.lo, K)
-    if resolve_mode(ts.values, mode) == "exact" and _window_proven(ts.shifted(K).values):
+    if resolve_mode(ts.exact, mode) == "exact" and _window_proven(ts.shifted(K).values):
         return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
     for k in range(K + 1):
-        values = ts.shifted(k).values
-        arith = resolve_mode(values, mode)
+        shift = ts.shifted(k)
+        values, arith = shift.values, resolve_mode(shift.exact, mode)
         if arith == "float":   # name an entry beyond float range by its window index
             values = tuple(to_float(v, f"t_{n}") for n, v in enumerate(values, -k))
         witness = _violation(values, arith, tol, shifted=k == 0)
@@ -607,20 +605,28 @@ def _narrow(s, a: int, b: int, k: int, scale: int) -> Tuple[int, int, int]:
 
 
 def _isolated_rational_root(s, a: int, b: int, k: int):
-    """The root of squarefree s isolated in (a / 2**k, b / 2**k] if rational, else None,
+    """The root of squarefree primitive s isolated in (a / 2**k, b / 2**k] if rational, else None,
     and the narrowed interval.
 
-    A rational root p/q of s has q | lead, and two such fractions are at
-    least 1 / lead**2 apart, so once the interval is narrower than
-    1 / (2 lead**2) the closest one to its midpoint is the only candidate.
+    A rational root of s is c / lead for an integer c (its denominator divides
+    lead), so below width 1 / lead the one multiple of 1 / lead inside is the
+    only candidate.  Below width 2**-64 the fraction closest to the midpoint with
+    denominator at most 2**31 is tried first: such fractions lie at least
+    2**-62 apart, so that one is the root if any of them is.
     """
-    lead = abs(s[-1])
-    a, b, k = _narrow(s, a, b, k, 2 * lead * lead)
-    cand = Fraction(b, 1 << k)
-    if _eval_int_poly(s, b, 1 << k):
-        cand = Fraction(a + b, 1 << (k + 1)).limit_denominator(lead)
-    inside = a < cand * (1 << k) <= b and _eval_int_poly(s, cand.numerator, cand.denominator) == 0
-    return (cand if inside else None), (a, b, k)
+    lead = s[-1]
+    for scale in (1 << 64, lead):
+        last = lead <= scale
+        a, b, k = _narrow(s, a, b, k, min(scale, lead))
+        if not _eval_int_poly(s, b, 1 << k):
+            return Fraction(b, 1 << k), (a, b, k)
+        # the largest multiple of 1 / lead <= b / 2**k, or the fraction closest to the midpoint
+        cand = (Fraction((b * lead) >> k, lead) if last
+                else Fraction(a + b, 1 << (k + 1)).limit_denominator(1 << 31))
+        if a < cand * (1 << k) <= b and _eval_int_poly(s, cand.numerator, cand.denominator) == 0:
+            return cand, (a, b, k)
+        if last:
+            return None, (a, b, k)
 
 
 def _sign_changes(vals) -> int:
@@ -688,11 +694,8 @@ def recover_atomic_measure(t, m: int, mode: str = "auto",
         raise ValueError("atom bound must be >= 1")
     if len(t) < 2 * m:
         raise ValueError(f"need at least {2 * m} moments to resolve {m} atoms")
-    arith = resolve_mode(t.values, mode)
-    if arith == "exact":
-        measure = _recover_exact(t, m)
-    else:
-        measure = _recover_float(t, m)
+    arith = resolve_mode(t.exact, mode)
+    measure = _recover_exact(t, m) if arith == "exact" else _recover_float(t, m)
     _verify_recovery(t, m, measure, arith, tol)
     return measure
 
@@ -701,17 +704,19 @@ def _recover_exact(t: MomentSequence, m: int) -> AtomicMeasure:
     values = t.values
     rows, dens, alpha, beta = _chebyshev(values, m)
     rank = len(rows) - 1
+    dp, dq = dens[rank]
     if rank < m and rows[rank][0] < 0:
-        h = rows[rank][0] / dens[rank]
+        h = Fraction(rows[rank][0] * dq, dp)
         raise MeasureRecoveryError("negative_mass", f"h_{rank} = {format_human(h)} < 0")
-    chain, prev, poly = [[1]], [ZERO], [ONE]   # pi_0..pi_rank in primitive integer form
-    for a, b in zip(alpha, beta):
-        prev, poly = poly, [x - a * y - b * z for x, y, z in
-                            zip([ZERO] + poly, poly + [ZERO], prev + [ZERO, ZERO])]
-        den = math.lcm(*(c.denominator for c in poly))
-        ints = [int(c * den) for c in poly]
-        g = math.gcd(*ints)
-        chain.append([c // g for c in ints])
+    # pi_0..pi_rank in primitive integer form (positive leads; pi_-1 = 0): the recurrence times
+    # aq bq lead(pi_j) lead(pi_{j-1}) stays in integers
+    chain, prev = [[1]], [0]
+    for (ap, aq), (bp, bq) in zip(alpha, beta):
+        poly = chain[-1]
+        u, w = bq * (prev[-1] or 1), bp * aq * poly[-1]
+        nxt = [u * (aq * x - ap * y) - w * z for x, y, z in zip([0] + poly, poly + [0], prev + [0, 0])]
+        g, prev = math.gcd(*nxt), poly
+        chain.append([c // g for c in nxt])
     # pi_rank..pi_0 has V(x) sign changes at x, one per (real, simple) zero of pi_rank above x
     below = rank - _sign_changes([c[0] for c in chain]) - (chain[-1][0] == 0)
     if below:
@@ -722,13 +727,13 @@ def _recover_exact(t: MomentSequence, m: int) -> AtomicMeasure:
         raise MeasureRecoveryError(
             "rank_deficient",
             f"recovered moments disagree at order {n}: "
-            f"{format_human(values[n] - rows[rank][miss] / dens[rank])} vs {format_human(values[n])}",
+            f"{format_human(values[n] - Fraction(rows[rank][miss] * dq, dp))} vs {format_human(values[n])}",
         )
     if rank == 0:
         return AtomicMeasure(())
-    weights = [d / (c[-1] ** 2 * row[0]) for c, row, d in zip(chain, rows[:rank], dens)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    weights = [_lowest(p, q * c[-1] ** 2 * row[0]) for c, row, (p, q) in zip(chain, rows[:rank], dens)]
+    scale = math.lcm(*(q for _, q in weights))
+    weights = [p * (scale // q) for p, q in weights]
     s = chain[-1]   # its zeros are >= 0, so bisecting (-1, 2**e] by V isolates each one
     e = (max(map(abs, s)) // s[-1] + 1).bit_length()   # |zero| < 1 + max |s_i / lead|
     nodes, stack = [], [(-1, 1 << e, 0, rank, 0)]
@@ -761,14 +766,12 @@ def _recover_float(t: MomentSequence, m: int) -> AtomicMeasure:
         rank += 1
     if rank == 0:
         return AtomicMeasure(())
-    h = np.array(hankel_matrix(values, 0, rank), dtype=float)
-    rhs = np.array([values[rank + j] for j in range(rank)], dtype=float)
     try:
-        c = np.linalg.solve(h, rhs)
+        c = np.linalg.solve(np.array(hankel_matrix(values, 0, rank), dtype=float),
+                            np.array(values[rank:2 * rank], dtype=float))
     except np.linalg.LinAlgError as exc:
         raise MeasureRecoveryError("rank_deficient", str(exc)) from exc
-    poly = np.concatenate([-c, [1.0]])
-    roots = np.polynomial.polynomial.polyroots(poly)
+    roots = np.polynomial.polynomial.polyroots(np.concatenate([-c, [1.0]]))
     locs = []
     for r in roots:
         if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
@@ -799,14 +802,11 @@ def _verify_recovery(t: MomentSequence, m: int, measure: AtomicMeasure,
         # values (no moment overflows), and a miss is theirs
         reason = "outside_float_range"
         measure = AtomicMeasure(tuple((Fraction(s), Fraction(w)) for s, w in measure.atoms))
-    for n in range(len(t.values)):
+    for n, want in enumerate(t.values):
         got = measure.moment(n)
-        want = t.values[n]
         if not (got == want if exact else abs(got - want) <= slack * max(1, abs(want))):
-            raise MeasureRecoveryError(
-                reason,
-                f"recovered moments disagree at order {n}: {format_human(got)} vs {format_human(want)}",
-            )
+            raise MeasureRecoveryError(reason, f"recovered moments disagree at order {n}: "
+                                               f"{format_human(got)} vs {format_human(want)}")
 
 
 def represent(t, m_max: int, mode: str = "auto", tol: float = 1e-8) -> Optional[AtomicMeasure]:
@@ -862,18 +862,12 @@ def determinacy_verdict(source) -> DeterminacyVerdict:
     for a bare prefix only the Carleman partial sum can be reported.
     """
     if isinstance(source, AtomicMeasure):
-        return DeterminacyVerdict(
-            kind="determinate_exact",
-            note="finitely atomic measure: compactly supported, hence determinate",
-        )
+        return DeterminacyVerdict(kind="determinate_exact",
+                                  note="finitely atomic measure: compactly supported, hence determinate")
     t = MomentSequence.coerce(source)
     N = len(t) - 1
     if any(t[n] == 0 for n in range(1, N + 1)):
         return DeterminacyVerdict(kind="unknown", note="vanishing entries; partial sum undefined")
     s = carleman_partial_sum(t, N)
-    return DeterminacyVerdict(
-        kind="carleman_evidence",
-        partial_sum=s,
-        terms=N,
-        note=f"partial sum S_{N} = {s:.6g} over {N} terms; divergence is not decidable from a prefix",
-    )
+    return DeterminacyVerdict(kind="carleman_evidence", partial_sum=s, terms=N, note=f"partial sum S_{N} = "
+                              f"{s:.6g} over {N} terms; divergence is not decidable from a prefix")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[Fraction, float]
 
@@ -70,10 +70,6 @@ def to_float(x: Scalar, name: str) -> float:
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
-
-
-def all_exact(values: Iterable[Scalar]) -> bool:
-    return all(isinstance(v, Fraction) for v in values)
 
 
 def mul0(a: Scalar, b: Scalar) -> Scalar:

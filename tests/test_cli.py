@@ -423,6 +423,54 @@ class TestUsageErrors:
         assert "treeshift" in capsys.readouterr().out
 
 
+class TestUnreadFlags:
+    """A flag the chosen route never reads is an input error, not silently ignored."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["moments", "check", str(DATA / "a3_orbit.json"), "--window", "999999"],
+         "--window is not read by moments check on a one-sided sequence"),
+        (["certify", str(DATA / "bilateral.json"), "--case", "iv", "--depth", "3"],
+         "--case is not read by certify on a chain"),
+        (["certify", str(DATA / "edge_chain.json"), "--case", "ii", "--depth", "3"],
+         "--case is not read by certify on a chain"),
+        (["certify", str(DATA / "a3.json"), "--necessary", "--case", "ii"],
+         "--case is not read by certify --necessary"),
+        (["certify", str(DATA / "a3.json"), "--necessary", "--window", "3"],
+         "--window is not read by certify --necessary"),
+    ])
+    def test_unread_flag_exits_three(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+    def test_flags_where_they_are_read(self, capsys):
+        assert run_cli(capsys, "moments", "check", str(DATA / "two_sided.json"), "--window", "2")[0] == 0
+        assert run_cli(capsys, "certify", str(DATA / "bilateral.json"), "--depth", "3", "--case", "auto")[0] == 0
+        assert run_cli(capsys, "certify", str(DATA / "a3.json"), "--depth", "3", "--case", "ii")[0] == 0
+
+    def test_ell_is_bounded_only_where_read(self, capsys):
+        # a finite stem (cases i and ii) never reads ell; case iv keeps the ceiling (TestOrderCeilings)
+        assert run_cli(capsys, "certify", str(DATA / "a3.json"), "--ell", str(10 ** 8))[0] == 0
+        assert run_cli(capsys, "certify", str(DATA / "kappa0.json"), "--ell", str(10 ** 8))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "tests/data/a3.json", "--depth", "2000", "--format", "struct"],
+    ["certify", "tests/data/a3.json", "--necessary", "--format", "struct"],
+    ["tree", "gen", "--eta", "2", "--kappa", "1", "--depth", "3"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # stdout is a pipe whose reader is gone before the command starts, as in `| head -c 0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    try:
+        result = subprocess.run([sys.executable, "-m", "treeshift", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, cwd=Path(__file__).resolve().parent.parent,
+                                env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (3, "")
+
+
 class TestShapeAndRuleErrors:
     def test_zero_mass_ratio_rule_is_an_error(self, capsys, tmp_path):
         doc = json.loads(json.dumps(A3_DOC))

@@ -653,7 +653,7 @@ def test_odd_stop_needs_a_recurrence_without_constant_term():
     t = [Fraction(9, 2), Fraction(9), Fraction(54), Fraction(0)]
     bad, table = _form_violation(t, 2)
     assert bad is None and all(row[0] > 0 for row in table[0][:2])
-    assert _pi_at_zero(table, 2)[-1] < 0
+    assert _pi_at_zero(table, 2)[-1][0] < 0   # an integer pair p / q, q > 0
     assert not _shifted_proven(table, 3) and not _window_proven(t)
     verdict = stieltjes_check(t)
     assert verdict.violated and verdict.witness == _eliminate_both_forms(t)
@@ -841,7 +841,7 @@ def _fraction_schur_scan(t, table):
     diag = list(t[0:2 * n - 1:2])
     for j in range(1, K + 1):
         row = rows[j - 1]
-        scale = row[0] * dens[j - 1]   # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale
+        scale = row[0] * Fraction(*dens[j - 1])   # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale
         for r in range(j, n):
             diag[r] -= row[r - j + 1] ** 2 / scale
             if diag[r] < 0:
