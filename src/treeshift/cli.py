@@ -187,6 +187,7 @@ def cmd_moments_carleman(args) -> int:
 # the listing has eta * depth + kappa edges: --eta 2 --kappa 1 takes 1.1 s at
 # depth 10^5 and 12 s at 10^6 (Python 3.11 on a 2-vCPU machine)
 MAX_GEN_DEPTH = 100000
+MAX_GEN_EDGES = 1000000   # eta * depth, so that a wide tree does not list 10^9 edges
 
 
 def cmd_tree_gen(args) -> int:
@@ -198,6 +199,8 @@ def cmd_tree_gen(args) -> int:
         raise ValueError(f"depth must be at most {MAX_GEN_DEPTH}, got {args.depth}")
     kappa = KAPPA_INF if args.kappa == "inf" else int(args.kappa)
     tree = make_tree_eta_kappa(args.eta, kappa)
+    if args.eta * args.depth > MAX_GEN_EDGES:
+        raise ValueError(f"eta * depth must be at most {MAX_GEN_EDGES}, got {args.eta * args.depth}")
     start = tree.root if tree.root is not None else -args.depth
     edges = [e for level in walk_levels(tree, start, args.depth) for e in level]
     if args.format == "struct":

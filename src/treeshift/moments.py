@@ -216,60 +216,66 @@ def psd_violation_exact(matrix) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _qd_rhombus(t):
-    """Anti-diagonals of Rutishauser's quotient-difference rhombus of t_0..t_N.
+def _qd_columns(t):
+    """Columns q_1, e_1, q_2, e_2, ... of Rutishauser's quotient-difference rhombus of t_0..t_N.
 
     The Stieltjes continued fraction t_0 / (1 - c_1 z / (1 - c_2 z / ...)) of
-    t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0).  Anti-diagonal d
-    (d = 1..N) lists q_1^(d-1), e_1^(d-2), q_2^(d-3), ..., down to c_d; it is
-    grown from t_d and anti-diagonal d - 1 by the rhombus rules, whatever the
-    signs of the entries.  Each entry is an integer pair p / q in lowest
-    terms with q > 0, one gcd per entry, and an anti-diagonal is the flat
-    list p_0, q_0, p_1, q_1, ..., so an entry's sign is its numerator's.  The
-    rhombus stops before an anti-diagonal that would divide by an exact zero
-    (t_{d-1} or an e entry).  It serves only ``_wall_det``, which re-verifies
-    witnesses apart from Chebyshev's table.
+    t_0..t_N has c_{2k-1} = q_k^(0) and c_{2k} = e_k^(0), the first entries
+    of the columns.  Column q_1 lists q_1^(n) = t_{n+1} / t_n, n = 0..N-1, and
+    each next column, one entry shorter, comes from the two before it,
+    whatever the signs of the entries:
+    e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1) (e_0 = 0) and
+    q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n).  An entry is an integer pair
+    (p, q) in lowest terms with q > 0, one gcd per entry, so its sign is
+    its numerator's.  The columns stop before one that would divide by an
+    exact zero (t_0..t_{N-1}, or an e entry other than its column's last).
+    It serves only ``_wall_det``, which re-verifies witnesses apart from
+    Chebyshev's table.
     """
     gcd = math.gcd
-    tp, tq = [x.numerator for x in t], [x.denominator for x in t]
-    prev: list = []   # anti-diagonal d - 1
-    for d in range(1, len(t)):
-        if not tp[d - 1] or not all(prev[2::4]):
+    pairs = [(x.numerator, x.denominator) for x in t]
+    if not all(p for p, _ in pairs[:-1]):
+        return
+    q = []
+    for (a, b), (c, d) in zip(pairs[1:], pairs):
+        p, r = a * d, b * c
+        g = gcd(p, r) if r > 0 else -gcd(p, r)
+        q.append((p // g, r // g))
+    e = [(0, 1)] * len(t)   # e_0
+    while q:
+        yield q
+        col = []   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
+        for (a, b), (c, d), (x, y) in zip(q[1:], q, e[1:]):
+            p, r = (a * d - c * b) * y + x * b * d, b * d * y
+            g = gcd(p, r)
+            col.append((p // g, r // g))
+        e = col
+        if not e:
             return
-        p, q = tp[d] * tq[d - 1], tq[d] * tp[d - 1]   # q_1^(d-1) = t_d / t_{d-1}
-        if q < 0:
-            p, q = -p, -q
-        g = gcd(p, q)
-        cur = [p // g, q // g]
-        for i in range(1, d):
-            a, b, c, e = cur[-2], cur[-1], prev[2 * i - 2], prev[2 * i - 1]
-            if i % 2:   # e_k^(n) = q_k^(n+1) - q_k^(n) + e_{k-1}^(n+1)
-                p, q = a * e - c * b, b * e
-                if i > 1:
-                    c, e = prev[2 * i - 4], prev[2 * i - 3]
-                    p, q = p * e + c * q, q * e
-            else:       # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
-                p, q = prev[2 * i - 4] * a * e, prev[2 * i - 3] * b * c
-                if q < 0:
-                    p, q = -p, -q
-            g = gcd(p, q)
-            cur += (p // g, q // g)
-        yield cur
-        prev = cur
+        yield e
+        if not all(x for x, _ in e[:-1]):
+            return
+        col = []   # q_{k+1}^(n) = q_k^(n+1) e_k^(n+1) / e_k^(n)
+        for (a, b), (c, d), (x, y) in zip(q[1:], e[1:], e):
+            p, r = a * c * y, b * d * x
+            g = gcd(p, r) if r > 0 else -gcd(p, r)
+            col.append((p // g, r // g))
+        q = col
 
 
 def _wall_det(s) -> Optional[Scalar]:
     """det (s_{i+j})_{i,j<k} from s_0..s_{2k-2} by Wall's formula, or None.
 
     det = s_0^k prod_{i=1}^{k-1} (c_{2i-1} c_{2i})^(k-i) with c_1..c_{2k-2}
-    the S-fraction coefficients of ``_qd_rhombus`` (Wall 1948), taken from
-    its integer pairs as one numerator and one denominator, so the one
-    Fraction is made at the end.  The rhombus rules are rational identities,
-    so the product is the determinant whenever no divisor was zero; None
-    when the rhombus stopped on a zero divisor.
+    the S-fraction coefficients, the first entries of the 2k - 2 columns of
+    ``_qd_columns`` (Wall 1948), taken from their integer pairs as one
+    numerator and one denominator, so the one Fraction is made at the end.
+    The rhombus rules are rational identities, so the product is the
+    determinant whenever no divisor was zero; None when the columns stopped
+    on a zero divisor.
     """
     k = (len(s) + 1) // 2
-    c = [diag[-2:] for diag in _qd_rhombus(s[:2 * k - 1])]
+    c = [col[0] for col in _qd_columns(s[:2 * k - 1])]
     if len(c) < 2 * k - 2:
         return None
     num, den = s[0].numerator ** k, s[0].denominator ** k
@@ -345,12 +351,16 @@ def _form_violation(t, depth: Optional[int] = None):
     the recurrence of pi_K, so the form is P^T H_K P with H_K positive
     definite, hence PSD.  h_K < 0: h_0..h_{K-1} > 0, so the elimination
     pivots rows 0..K-1 in index order, and after pivots 0..j-1 the diagonal
-    entry r of its Schur complement is t_{2r} - sum_{i<j} sigma_{i,r}^2 / h_i.
-    These sums are integer pairs in lowest terms with a positive
+    entry r of its Schur complement is d_j(r) = t_{2r} - sum_{i<j} sigma_{i,r}^2 / h_i.
+    Its witness is {0..j-1, r} for the first j, and in it the first r, with
+    d_j(r) < 0.  Each d_j(r) falls as j grows (every h_i > 0), and
+    d_r(r) = h_r > 0 for r < K, so only the columns r >= K can turn
+    negative, and d_K(K) = h_K < 0 does.  Column r = K..n-1 is scanned over
+    j = 1..K, and past the first witness found only below its j, so the
+    scan costs (n - K) K entries, not the K n - K^2 / 2 of the rows r < K
+    too.  The sums are integer pairs in lowest terms with a positive
     denominator, one gcd per entry, so an entry is negative when its
-    numerator is.  The first j, and in it the first r, with a negative entry
-    give its witness {0..j-1, r}; j = K at the latest, where the entry at
-    r = K is h_K.  Only a zero pivot with a nonzero sigma row goes to the
+    numerator is.  Only a zero pivot with a nonzero sigma row goes to the
     elimination itself.
     """
     n = (len(t) + 1) // 2
@@ -366,19 +376,22 @@ def _form_violation(t, depth: Optional[int] = None):
         finite_rank = not any(rows[K][:2 * (n - K) - 1])
         return (None if finite_rank else psd_violation_exact(hankel_matrix(t, 0, n))), table
     gcd = math.gcd
-    num = [x.numerator for x in t[0:2 * n - 1:2]]   # diagonal r is num[r] / den[r], den[r] > 0
-    den = [x.denominator for x in t[0:2 * n - 1:2]]
-    for j in range(1, K + 1):
-        row = rows[j - 1]
-        # sigma_{j-1,r}^2 / h_{j-1} = row[r-j+1]^2 / scale, scale = row[0] dens[j-1] = sp / sq > 0
-        sp, sq = row[0] * dens[j - 1][0], dens[j - 1][1]
-        for r, x in zip(range(j, n), row[1:]):
-            p, q = num[r] * sp - den[r] * sq * x * x, den[r] * sp
-            g = gcd(p, q)
-            num[r], den[r] = p // g, q // g
+    # sigma_{i,r}^2 / h_i = rows[i][r-i]^2 / scale_i, scale_i = rows[i][0] dens[i] = sp / sq > 0
+    scales = [(row[0] * dp, dq) for row, (dp, dq) in zip(rows[:K], dens)]
+    best = K + 1   # the smallest j with a negative entry so far
+    for r in range(K, n):
+        num, den = t[2 * r].numerator, t[2 * r].denominator
+        for i, (row, (sp, sq)) in enumerate(zip(rows[:best - 1], scales)):
+            x = row[r - i]
+            p, q = num * sp - den * sq * x * x, den * sp
             if p < 0:
-                return (*range(j), r), table
-    raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
+                best, witness = i + 1, (*range(i + 1), r)
+                break
+            g = gcd(p, q)
+            num, den = p // g, q // g
+    if best > K:
+        raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
+    return witness, table
 
 
 def _pi_at_zero(table, n: int) -> list:
@@ -446,15 +459,19 @@ def _witness_from_indices(kind, values, offset: int, indices, shift=None) -> Han
 
     Only the minor's |indices|^2 entries are read, never the whole form.  A
     leading minor {0..k-1} of a Hankel form is the Hankel matrix of its own
-    entries s_0..s_{2k-2}, and ``_wall_det`` takes its determinant from their
-    quotient-difference rhombus; any other minor, or a rhombus that meets a
-    zero divisor, goes to ``det_exact``.  Neither shares code with Chebyshev's
-    table or the elimination that found the witness.
+    entries s_0..s_{2k-2}, so its rows are slices of them, and ``_wall_det``
+    takes its determinant from their quotient-difference rhombus; any other
+    minor, or a rhombus that meets a zero divisor, goes to ``det_exact``.
+    Neither shares code with Chebyshev's table or the elimination that
+    found the witness.
     """
-    sub = tuple(tuple(values[r + c + offset] for c in indices) for r in indices)
-    det = None
-    if tuple(indices) == tuple(range(len(sub))):
-        det = _wall_det(sub[0] + tuple(row[-1] for row in sub[1:]))
+    k, det = len(indices), None
+    if tuple(indices) == tuple(range(k)):
+        s = tuple(values[offset:offset + 2 * k - 1])
+        sub = tuple(s[r:r + k] for r in range(k))
+        det = _wall_det(s)
+    else:
+        sub = tuple(tuple(values[r + c + offset] for c in indices) for r in indices)
     if det is None:
         det = det_exact(sub)
     if det >= 0:  # the elimination guarantees a negative principal minor
@@ -542,7 +559,13 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
     passes at once.  Otherwise each shift is checked in turn, and the first
     violated one gives the witness.  The form (t_{i+j+1}) of shift k is the
     form (t_{i+j}) of shift k - 1, which has passed, so shifts k >= 1 check
-    (t_{i+j}) alone.
+    (t_{i+j}) alone.  In exact mode with K >= 2, once shift 0 has passed, a
+    table of shift K - 1 comes next: if it proves shift K - 1 the moments of
+    a measure mu, shift k holds the moments of s^(K-1-k) dmu, so shifts
+    1..K-1 pass, and the loop goes on at shift K.  A window violated at
+    shift 0 thus costs what it did without the proof, and any other window
+    at most that one table more.  Every route gives the per-shift loop's
+    verdict, witness and shifts_checked.
     """
     if K is None:
         K = -ts.lo
@@ -550,9 +573,11 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
         raise ValueError(f"window must be nonnegative, got {K}")
     if K > -ts.lo:
         raise WindowTooSmallError(-ts.lo, K)
-    if resolve_mode(ts.exact, mode) == "exact" and _window_proven(ts.shifted(K).values):
+    exact = resolve_mode(ts.exact, mode) == "exact"
+    if exact and _window_proven(ts.shifted(K).values):
         return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
-    for k in range(K + 1):
+    k = 0
+    while k <= K:
         shift = ts.shifted(k)
         values, arith = shift.values, resolve_mode(shift.exact, mode)
         if arith == "float":   # name an entry beyond float range by its window index
@@ -562,6 +587,7 @@ def two_sided_stieltjes_check(ts: TwoSidedMomentSequence, K: Optional[int] = Non
             witness = replace(witness, two_sided_shift=k)
             return StieltjesVerdict(kind="violated", upto=ts.hi, witness=witness,
                                     shifts_checked=tuple(range(k + 1)))
+        k = K if k == 0 and K > 1 and exact and _window_proven(ts.shifted(K - 1).values) else k + 1
     return StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
 
 
@@ -583,8 +609,11 @@ def _narrow(s, a: int, b: int, k: int, scale: int) -> Tuple[int, int, int]:
     Each step tries Newton's step from the right end on a grid 2**g times
     finer, keeping the cell it lands in if s changes sign across it (g then
     doubles: Abbott's quadratic interval refinement), and else bisects.  It
-    stops early, with the root at the right end, when s vanishes there.
+    stops early, with the root at the right end, when s vanishes there.  A
+    cell already narrow enough comes back as it is, with s not evaluated.
     """
+    if scale * (b - a) < 1 << k:
+        return a, b, k
     slope = [i * c for i, c in enumerate(s)][1:]
     at_hi, g = _eval_int_poly(s, b, 1 << k), 1
     while at_hi and scale * (b - a) >= 1 << k:

@@ -27,7 +27,10 @@ class RationalParseError(ValueError):
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` or a bare integer (string or int) into a Fraction.
 
-    Zero denominators and non-integer parts are rejected.
+    Zero denominators and non-integer parts are rejected.  An integer part
+    that ``int()`` refuses only for its length (more digits than
+    ``sys.get_int_max_str_digits()``, 4300 by default) is named by its digit
+    count, and the value is not echoed.
     """
     if isinstance(text, bool):
         raise RationalParseError(f"not a rational: {text!r}")
@@ -35,10 +38,17 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     s = str(text).strip()
     num, sep, den = s.partition("/")
+    n = None
     try:
         n = int(num)
         d = int(den) if sep else 1
     except ValueError as exc:
+        # int() refuses a string of ASCII digits only past the int-string digit limit
+        bad = (num if n is None else den).strip()
+        bad = bad[1:] if bad.startswith(("+", "-")) else bad
+        if bad.isascii() and bad.isdigit():
+            raise RationalParseError(f"an integer of {len(bad)} digits is past Python's int-string limit "
+                                     f"(sys.get_int_max_str_digits(), 4300 digits by default)") from None
         raise RationalParseError(f"not a rational: {text!r}") from exc
     if d == 0:
         raise RationalParseError(f"zero denominator: {text!r}")

@@ -173,18 +173,24 @@ def build_tree(edges: Sequence[Tuple[VertexId, VertexId]]) -> DirectedTree:
     )
 
 
+# the branching vertex's children are listed as one tuple: at eta = 10^9 that ran out of memory
+MAX_ETA = 10000
+
+
 def make_tree_eta_kappa(eta: int, kappa) -> DirectedTree:
     """Generate the leafless tree with one branching vertex.
 
     The branching vertex is labeled 0 and has children (1,1)..(eta,1); each
     ray continues (i,j) -> (i,j+1); the stem -kappa -> ... -> -1 -> 0 has
     length ``kappa`` (pass ``KAPPA_INF`` for the rootless variant, whose
-    stem vertices are produced on demand).
+    stem vertices are produced on demand).  eta is at most ``MAX_ETA``.
     """
     if eta is None or isinstance(eta, float) and math.isinf(eta):
         raise InvalidEtaError("infinite branch counts are not supported; moments would be infinite series")
     if not isinstance(eta, int) or isinstance(eta, bool) or eta < 2:
         raise InvalidEtaError(f"branch count must be an integer >= 2, got {eta!r}")
+    if eta > MAX_ETA:
+        raise InvalidEtaError(f"branch count must be at most {MAX_ETA}, got {eta}")
     if kappa == KAPPA_INF:
         kappa = KAPPA_INF
     elif not isinstance(kappa, int) or isinstance(kappa, bool) or kappa < 0:

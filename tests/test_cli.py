@@ -720,3 +720,40 @@ class TestOrderCeilings:
     def test_reduce_at_depth_ceiling_runs(self, capsys):
         code, _, _ = run_cli(capsys, "reduce", str(DATA / "bilateral.json"), "--kmax", "1", "--depth", "10000")
         assert code == 0
+
+    def test_branch_count_above_ceiling(self, capsys, tmp_path):
+        # the branching vertex's children are listed as one tuple: a document with eta = 10^9
+        # ran out of memory, and tree gen took the same path
+        doc = json.loads((DATA / "a3.json").read_text())
+        doc["tree"]["eta"] = 10 ** 9
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "wide.json", doc))
+        assert (code, out) == (3, "")
+        assert err == "input error: $.tree: branch count must be at most 10000, got 1000000000\n"
+        self._rejects(capsys, "tree", "gen", "--eta", str(10 ** 9), "--kappa", "1", "--depth", "3",
+                      message="branch count must be at most 10000, got 1000000000")
+        # within both ceilings, a listing of eta * depth = 10^9 edges is refused too
+        self._rejects(capsys, "tree", "gen", "--eta", "10000", "--kappa", "1", "--depth", "100000",
+                      message="eta * depth must be at most 1000000, got 1000000000")
+
+    def test_branch_count_at_ceiling_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "tree", "gen", "--eta", "10000", "--kappa", "0", "--depth", "100",
+                               "--format", "struct")
+        assert code == 0
+        assert len(json.loads(out)["edges"]) == 1000000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+@pytest.mark.parametrize("value, digits", [("1" * 5000, 5000), ("1/" + "3" * 4400, 4400),
+                                           ("-" + "7" * 4301 + "/2", 4301), ("5/-" + "9" * 4301, 4301)])
+def test_integer_past_the_digit_limit_is_named_not_echoed(capsys, tmp_path, value, digits):
+    # int() refuses more than 4300 digits by default; the value is a rational, so the message
+    # names the digit count and the limit, and does not echo thousands of digits back
+    path = _write(tmp_path, "long.json", {"sequence": ["1", value, "2"]})
+    code, out, err = run_cli(capsys, "moments", "check", path)
+    assert (code, out) == (3, "")
+    assert err == (f"input error: $.sequence[1]: an integer of {digits} digits is past Python's int-string "
+                   f"limit (sys.get_int_max_str_digits(), 4300 digits by default)\n")
+    # malformed parts are still "not a rational", whatever their length
+    for bad in ("12/ab", "+-3", "3/\u00b2"):
+        code, _, err = run_cli(capsys, "moments", "check", _write(tmp_path, "bad.json", {"sequence": ["1", bad]}))
+        assert (code, err) == (3, f"input error: $.sequence[1]: not a rational: {bad!r}\n")

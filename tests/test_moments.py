@@ -34,6 +34,7 @@ from treeshift.moments import (
     _chebyshev,
     _form_violation,
     _pi_at_zero,
+    _qd_columns,
     _shifted_proven,
     _wall_det,
     _window_proven,
@@ -385,8 +386,8 @@ def _eliminate_both_forms(values, shift=None):
 
 def _rhombus_positive(t):
     """t_0 > 0 and every entry of the whole qd rhombus of t_0..t_N positive."""
-    diags = list(moments._qd_rhombus(t))
-    return t[0] > 0 and len(diags) == len(t) - 1 and all(x > 0 for diag in diags for x in diag)
+    cols = list(_qd_columns(t))
+    return t[0] > 0 and len(cols) == len(t) - 1 and all(p > 0 for col in cols for p, _ in col)
 
 
 @given(rational_prefixes())
@@ -742,9 +743,9 @@ def test_an_entry_past_a_form_leaves_its_proof_alone(case, step):
         assert _shifted_proven(_chebyshev(t, N // 2), N)
 
 
-def small_hankel_sequences(max_order=6):
-    """s_0..s_{2k-2} of small rationals of either sign, with many zeros."""
-    entry = st.one_of(st.just(Fraction(0)), quarters(-8, 8))
+def small_hankel_sequences(max_order=6, zeros=True):
+    """s_0..s_{2k-2} of small rationals of either sign, with many zeros (or none)."""
+    entry = st.one_of(st.just(Fraction(0)), quarters(-8, 8)) if zeros else quarters(-8, 8).filter(bool)
     return st.integers(1, max_order).flatmap(
         lambda k: st.lists(entry, min_size=2 * k - 1, max_size=2 * k - 1))
 
@@ -760,7 +761,7 @@ def test_wall_det_through_negative_entries_and_zero_divisors():
     # a rhombus with negative entries goes through; a zero e entry stops it, and the
     # witness determinant then comes from det_exact
     s = [Fraction(x) for x in (5, 1, 5, 2, 1, 2, 4)]
-    assert sum(x < 0 for diag in moments._qd_rhombus(s) for x in diag) >= 3
+    assert sum(p < 0 for col in _qd_columns(s) for p, _ in col) >= 3
     assert _wall_det(s) == det_exact(hankel_matrix(s, 0, 4)) == -316
     s = [Fraction(x) for x in (1, 1, 1, 0, 1)]
     assert _wall_det(s) is None
@@ -768,6 +769,13 @@ def test_wall_det_through_negative_entries_and_zero_divisors():
     assert _witness_from_indices("hankel", s, 0, (0, 1, 2)).det == det_exact(matrix) == -1
     with mock.patch.object(moments, "det_exact", side_effect=AssertionError):
         assert _witness_from_indices("hankel", [1, 2, 1], 0, (0, 1)).det == -3
+    # a zero at the end of an e column divides nothing, so the columns go on past it
+    s = [Fraction(x) for x in (-2, -2, 1, 1, 1)]
+    cols = list(_qd_columns(s))
+    assert len(cols) == 4 and cols[1][-1] == (0, 1)   # e_1^(2) = 0
+    with mock.patch.object(moments, "det_exact", side_effect=AssertionError):
+        assert _wall_det(s) == -9
+    assert det_exact(hankel_matrix(s, 0, 3)) == -9
 
 
 def _lowered(n, k):
@@ -849,17 +857,55 @@ def _fraction_schur_scan(t, table):
     raise AssertionError(f"h_{K} < 0 but no Schur complement diagonal is negative")
 
 
-@given(small_hankel_sequences(max_order=8))
+def _by_column(diags):
+    """The reference's anti-diagonals as columns: entry i of anti-diagonal d is column i, row d - 1 - i,
+    each as the pair (numerator, denominator)."""
+    cols: dict = {}
+    for d, diag in enumerate(diags, 1):
+        for i, x in enumerate(diag):
+            cols.setdefault(i, {})[d - 1 - i] = (x.numerator, x.denominator)
+    return cols
+
+
+@given(st.one_of(small_hankel_sequences(max_order=8), small_hankel_sequences(max_order=8, zeros=False)))
 @settings(max_examples=400, deadline=None)
 def test_integer_rhombus_matches_the_fraction_rhombus(s):
-    # entry for entry, in lowest terms with a positive denominator, and the same stop
-    got, want = list(moments._qd_rhombus(s)), list(_fraction_qd_rhombus(s))
-    assert len(got) == len(want)
-    for diag, ref in zip(got, want):
-        pairs = list(zip(diag[0::2], diag[1::2]))
-        assert [(x.numerator, x.denominator) for x in ref] == pairs
-    assert _wall_det(s) == (None if len(want) < len(s) - 1 else
+    # column by column, entry for entry, in lowest terms with a positive denominator; the
+    # columns fill the rhombus exactly when the anti-diagonals do (no zero divisor), and
+    # where either stops, the entries both reached agree
+    got, want = list(_qd_columns(s)), list(_fraction_qd_rhombus(s))
+    whole = len(s) - 1
+    assert (len(got) == whole) == (len(want) == whole)
+    ref = _by_column(want)
+    if len(want) == whole:
+        assert got == [[ref[m][n] for n in range(whole - m)] for m in range(whole)]
+    for m, col in enumerate(got):
+        for n, pair in enumerate(col):
+            assert ref.get(m, {}).get(n, pair) == pair
+    assert _wall_det(s) == (None if len(want) < whole else
                             det_exact(hankel_matrix(s, 0, (len(s) + 1) // 2)))
+
+
+_SCALED_DOWN = (tuple(Fraction(k, 64) for k in (1, 3, 7, 15, 31, 63))
+                + tuple(1 - Fraction(1, 10 ** e) for e in range(1, 7)))
+
+
+def _scaled_down_prefix(N, where, mass, i, factor):
+    t = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(N + 1)]
+    t[i] *= factor
+    return t
+
+
+@st.composite
+def schur_prefixes(draw):
+    """t_0..t_N (N = 4..16) of a measure with more atoms than the form resolves, one entry
+    t_i (i >= 2) scaled down: the table often stops at h_K < 0 with K < n - 1, and the
+    witness then lies in a column r > K, or comes at a step j < K."""
+    N = draw(st.integers(4, 16))
+    rank = draw(st.integers(N // 2 + 1, N // 2 + 3))
+    where = draw(st.lists(quarters(1, 63), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    return _scaled_down_prefix(N, where, mass, draw(st.integers(2, N)), draw(st.sampled_from(_SCALED_DOWN)))
 
 
 def _scan_agrees(t):
@@ -871,7 +917,7 @@ def _scan_agrees(t):
     return want
 
 
-@given(rational_prefixes())
+@given(st.one_of(rational_prefixes(), schur_prefixes()))
 @settings(max_examples=300, deadline=None)
 def test_integer_schur_scan_matches_the_fraction_scan(values):
     _scan_agrees(values)
@@ -911,6 +957,111 @@ def _zero_schur_entry():
 def test_integer_schur_scan_on_deep_witnesses(t, want):
     # each witness comes from the scan past j = 1, which the first step does not reach
     assert _scan_agrees(t) == want
+
+
+# -- violated paths: the column scan, and a window from its shift K - 1 ----------------
+
+
+def test_column_scan_reaches_later_columns_and_earlier_steps():
+    # the same prefixes from a fixed seed, so that every shape of witness is met: at
+    # (j, r) = (K, K), at r = K after a step j < K, and in a column r > K (then j < K)
+    rng = random.Random(5)
+    shapes = set()
+    for _ in range(300):
+        N = rng.randint(4, 16)
+        rank = rng.randint(N // 2 + 1, N // 2 + 3)
+        where = [Fraction(x, 4) for x in rng.sample(range(1, 64), rank)]
+        mass = [Fraction(rng.randint(1, 16), 8) for _ in where]
+        t = _scaled_down_prefix(N, where, mass, rng.randint(2, N), rng.choice(_SCALED_DOWN))
+        want = _scan_agrees(t)
+        if want is not None:
+            K = next(k for k, row in enumerate(_form_violation(t)[1][0]) if row[0] <= 0)
+            j, r = len(want) - 1, want[-1]
+            assert r >= K and j <= K
+            shapes.add((j < K, r > K))
+    assert shapes == {(False, False), (True, False), (True, True)}
+
+
+def _per_shift_check(ts, K=None, mode="auto", tol=moments.DEFAULT_PSD_TOL):
+    """two_sided_stieltjes_check as it was before the proof of shift K - 1, kept verbatim
+    as the reference."""
+    if K is None:
+        K = -ts.lo
+    if K < 0:
+        raise ValueError(f"window must be nonnegative, got {K}")
+    if K > -ts.lo:
+        raise WindowTooSmallError(-ts.lo, K)
+    if moments.resolve_mode(ts.exact, mode) == "exact" and _window_proven(ts.shifted(K).values):
+        return moments.StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
+    for k in range(K + 1):
+        shift = ts.shifted(k)
+        values, arith = shift.values, moments.resolve_mode(shift.exact, mode)
+        if arith == "float":   # name an entry beyond float range by its window index
+            values = tuple(moments.to_float(v, f"t_{n}") for n, v in enumerate(values, -k))
+        witness = moments._violation(values, arith, tol, shifted=k == 0)
+        if witness is not None:
+            witness = replace(witness, two_sided_shift=k)
+            return moments.StieltjesVerdict(kind="violated", upto=ts.hi, witness=witness,
+                                            shifts_checked=tuple(range(k + 1)))
+    return moments.StieltjesVerdict(kind="consistent", upto=ts.hi, shifts_checked=tuple(range(K + 1)))
+
+
+def _violated_window(where, mass, K, N, shape, m=None):
+    """t_{-K}..t_N of the measure, violated at shift m (t_{-m} t_{-m+2} < t_{-m+1}^2):
+    shift 0 for "bottom", K for "top" and "unproven"; "unproven" also raises t_N, which
+    keeps every form PSD but stops the table's proof of a finite-rank shift K - 1."""
+    values = [sum(w * x ** n for x, w in zip(where, mass)) for n in range(-K, N + 1)]
+    if shape == "unproven":
+        values[-1] += Fraction(1, 64)
+    i = K - (m if m is not None else 0 if shape == "bottom" else K)
+    values[i] = values[i + 1] ** 2 / (2 * values[i + 2])
+    return TwoSidedMomentSequence(-K, tuple(values))
+
+
+@st.composite
+def violated_windows(draw):
+    """A window violated at shift K after a proven shift K - 1 ("top"), at shift 0
+    ("bottom"), at a shift m with 0 < m < K ("mid"), or at shift K after a shift K - 1
+    that passes unproven ("unproven"); the shape and the violated shift."""
+    shape = draw(st.sampled_from(("top", "bottom", "mid", "unproven")))
+    K, N = draw(st.integers(2 if shape == "mid" else 1, 5)), draw(st.integers(2, 8))
+    m = draw(st.integers(1, K - 1)) if shape == "mid" else 0 if shape == "bottom" else K
+    rank = draw(st.integers(1, (K + N - 1) // 2)) if shape == "unproven" else (K + N) // 2 + 2
+    where = draw(st.lists(quarters(1, 24), min_size=rank, max_size=rank, unique=True))
+    mass = draw(st.lists(eighths, min_size=rank, max_size=rank))
+    return _violated_window(where, mass, K, N, shape, m), m
+
+
+@given(violated_windows(), st.sampled_from(("exact", "float")))
+@settings(max_examples=300, deadline=None)
+def test_window_from_shift_k_minus_1_matches_the_per_shift_loop(case, mode):
+    ts, m = case
+    verdict = two_sided_stieltjes_check(ts, mode=mode)
+    assert verdict == _per_shift_check(ts, mode=mode)
+    if mode == "exact":
+        assert verdict.violated and verdict.witness.two_sided_shift == m
+
+
+@pytest.mark.parametrize("shape, checked, proofs", [("top", 2, 2), ("bottom", 1, 1), ("unproven", 5, 2)])
+def test_window_checks_only_the_shifts_it_must(shape, checked, proofs):
+    # atoms 1/2, 3/2, 3 and 5 (masses 1, 1/2, 2, 1), or only 1/2 and 3 when unproven, with
+    # t_{-4}..t_8: shift 0's witness stops the loop before any proof of shift 3, a proven
+    # shift 3 leaves shift 4 alone to check after shift 0, and an unproven shift 3 sends
+    # the loop through every shift
+    K, N = 4, 8
+    where, mass = [Fraction(1, 2), Fraction(3, 2), Fraction(3), Fraction(5)], [1, Fraction(1, 2), 2, 1]
+    if shape == "unproven":
+        where, mass = where[::2], mass[::2]
+    ts = _violated_window(where, mass, K, N, shape)
+    assert _window_proven(ts.shifted(K - 1).values) == (shape == "top")
+    with mock.patch.object(moments, "_violation", wraps=moments._violation) as spy, \
+            mock.patch.object(moments, "_window_proven", wraps=moments._window_proven) as proof:
+        verdict = two_sided_stieltjes_check(ts)
+    assert (spy.call_count, proof.call_count) == (checked, proofs)
+    assert verdict == _per_shift_check(ts)
+    shift = 0 if shape == "bottom" else K
+    assert verdict.shifts_checked == tuple(range(shift + 1))
+    assert (verdict.witness.indices, verdict.witness.two_sided_shift) == ((0, 1), shift)
 
 
 # -- atomic recovery on Chebyshev's table ----------------------------------------------

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeshift import MeasureRecoveryError, recover_atomic_measure
@@ -101,3 +101,48 @@ def test_recovery_is_unchanged_by_the_staged_test(case):
     got = _recover(t, m)
     with mock.patch.object(moments, "_isolated_rational_root", _narrowed_rational_root):
         assert got == _recover(t, m)
+
+
+def _evaluating_narrow(s, a: int, b: int, k: int, scale: int):
+    """moments._narrow as it was, evaluating s at b before testing the width, kept verbatim
+    as the reference."""
+    slope = [i * c for i, c in enumerate(s)][1:]
+    at_hi, g = _eval_int_poly(s, b, 1 << k), 1
+    while at_hi and scale * (b - a) >= 1 << k:
+        d = _eval_int_poly(slope, b, 1 << k)
+        c = ((b * d - at_hi) << g) // d if d else b << g   # Newton's step from b, on the grid
+        if a << g <= c < b << g:
+            left, right = (_eval_int_poly(s, x, 1 << (k + g)) for x in (c, c + 1))
+            if right == 0 or left and (left > 0) != (at_hi > 0) == (right > 0):   # sign change
+                a, b, k, at_hi, g = c, c + 1, k + g, right, 2 * g
+                continue
+        mid, k, g = a + b, k + 1, 1
+        at_mid = _eval_int_poly(s, mid, 1 << k)
+        if at_mid == 0 or (at_mid > 0) == (at_hi > 0):
+            a, b, at_hi = 2 * a, mid, at_mid
+        else:
+            a, b = mid, 2 * b
+    return a, b, k
+
+
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 40)), min_size=1, max_size=4, unique=True),
+       st.integers(0, 3), st.sampled_from((1, 2 ** 20, 2 ** 64, 3 ** 50)))
+@settings(max_examples=200, deadline=None)
+def test_narrow_tests_the_width_first(factors, which, scale):
+    # s = prod (q x - p); the cell (r - 2^-40, r + 2^-41] around one root, then that cell
+    # narrowed below 1 / scale and narrowed again: the second call must return the cell
+    # untouched, without evaluating s, and both calls must match the evaluating reference
+    roots = sorted({Fraction(p, q) for p, q in factors})
+    s = [1]
+    for r in roots:
+        s = _times(s, [-r.numerator, r.denominator])
+    root = roots[which % len(roots)]
+    k = 60
+    lo, hi = math.floor((root - Fraction(1, 2 ** 40)) * 2 ** k), math.floor((root + Fraction(1, 2 ** 41)) * 2 ** k)
+    assume(all(not lo < x * 2 ** k <= hi for x in roots if x != root))
+    cell = _narrow(s, lo, hi, k, scale)
+    assert cell == _evaluating_narrow(s, lo, hi, k, scale)
+    with mock.patch.object(moments, "_eval_int_poly", side_effect=AssertionError("s evaluated")):
+        if scale * (cell[1] - cell[0]) < 1 << cell[2]:
+            assert _narrow(s, *cell, scale) == cell
+    assert _narrow(s, *cell, scale) == _evaluating_narrow(s, *cell, scale)
