@@ -94,7 +94,9 @@ def cmd_certify(args) -> int:
 
     if args.necessary:
         _unread("certify --necessary", case=args.case != "auto", window=args.window is not None)
-        report = necessary_checks_determinate(inst.shift, depth, m_max, mode=mode, tol=args.tol)
+        # --ell, else the document's ell, else the pipeline's default of 10
+        stem_checks = args.ell if args.ell is not None else inst.params.get("ell")
+        report = necessary_checks_determinate(inst.shift, depth, m_max, stem_checks, mode=mode, tol=args.tol)
         return _emit(report, args)
 
     bilateral = tree.eta_kappa is None and tree.root is None

@@ -33,7 +33,7 @@ from .moments import (
     stieltjes_check,
     two_sided_stieltjes_check,
 )
-from .rationals import INF, ONE, ZERO, Scalar, format_human, is_exact, mul0
+from .rationals import INF, ONE, ZERO, Scalar, format_human, is_exact
 from .report import (
     CertificateReport,
     Check,
@@ -265,12 +265,7 @@ def _stem_products(shift: WeightedShift, frame: BranchFrame, last: int) -> List[
 
 def consistency_at(shift: WeightedShift, u,
                    child_measures: Mapping) -> Tuple[bool, Scalar]:
-    """Sum of sq(v) * (1/s)-integral of the child measures; passes when <= 1.
-
-    Uses the 0*inf = 0 convention, so a zero-weight child with a divergent
-    integral contributes nothing (only relevant when zero weights are
-    allowed at all).
-    """
+    """Sum of sq(v) * (1/s)-integral of the child measures; passes when <= 1."""
     kids = shift.tree.children(u)
     total = ZERO
     for v in kids:
@@ -279,7 +274,7 @@ def consistency_at(shift: WeightedShift, u,
         mu_v = child_measures[v]
         if not mu_v.is_probability(tol=1e-9):
             raise ValueError(f"measure for child {format_vertex(v)} is not a probability measure")
-        total = total + mul0(shift.sq(v), moments_of(mu_v, -1))
+        total = total + shift.sq(v) * moments_of(mu_v, -1)
     return total <= 1, total
 
 
@@ -351,22 +346,21 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
         ck.eq(f"mass[{fu}]", mu_u.total_mass(), ONE)
         kid_measures = [system.mu[v] for v in kids]
         for v, mu_v in zip(kids, kid_measures):
-            if mu_v.has_zero_atom() and shift.sq(v) != 0:
+            if mu_v.has_zero_atom():
                 raise ZeroAtomInChildError(v)
         # a weight is read only when some positive location needs it
         located = any(s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms)
         sqs = [shift.sq(v) for v in kids] if located else []
-        # rows of (s, mu_u({s}), None) and (s, None, (sq(v), mu_v({s}))); a zero weight
-        # keeps its child's locations but contributes no term (0 * inf = 0)
+        # rows of (s, mu_u({s}), None) and (s, None, (sq(v), mu_v({s})))
         lists = [[(s, w, None) for s, w in mu_u.atoms if s]]
         for e, mu_v in zip(sqs, kid_measures):
-            lists.append([(s, None, (e, w) if e else None) for s, w in mu_v.atoms if s])
+            lists.append([(s, None, (e, w)) for s, w in mu_v.atoms if s])
         for a, row in _merged_rows(lists):
             lhs, terms = ZERO, []
             for _, w, term in row:
                 if w is not None:
                     lhs = w
-                elif term is not None:
+                else:
                     terms.append(term)
             ck.eq_sum(f"muu+[{fu},{format_human(a)}]", lhs, terms, a)
         eps_u = system.eps_at(u)
@@ -531,7 +525,7 @@ def _entry_sum(shift: WeightedShift, frame: BranchFrame,
                measures: Sequence[AtomicMeasure], power: int) -> Scalar:
     total = ZERO
     for entry, mu in zip(frame.entries, measures):
-        total = total + mul0(shift.sq(entry), moments_of(mu, power))
+        total = total + shift.sq(entry) * moments_of(mu, power)
     return total
 
 
@@ -611,7 +605,7 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
     ck = _Checker(mode, tol)
     _zgod0_checks(ck, shift, frame, branch_measures, N)
     ck.eq("prob[0]", moments_of(nu, 0), ONE)
-    # ||S^n e_root||^2: the n stem weights below the root, not P_kappa / P_(kappa-n), which a zero weight breaks
+    # ||S^n e_root||^2: the product of the n stem weights below the root
     rhs = ONE
     for n in range(1, kappa + 1):
         rhs = rhs * shift.sq(frame.stem_vertex(kappa - n))
@@ -742,8 +736,11 @@ def build_branch_tree_system(shift: WeightedShift,
     return ConsistentSystem(mu, eps)
 
 
+# terms of the Carleman partial sum that necessary_checks_determinate reports as evidence
+CARLEMAN_TERMS = 30
+
+
 def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
-                                 carleman_terms: int = 30,
                                  stem_checks: Optional[int] = None,
                                  mode: str = "auto", tol: float = 1e-9) -> CertificateReport:
     """Necessary-condition pipeline under determinacy of the root orbit moments.
@@ -753,13 +750,18 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
     m_max-atomic), reports determinacy evidence for the branching vertex's
     shifted orbit sequence, re-checks the case conditions that must then
     hold, and checks the consistency condition at the branching vertex and
-    every stem vertex.  Recovery failure degrades to Inconclusive.
+    every stem vertex.  Recovery failure degrades to Inconclusive.  An
+    infinite stem is checked for l <= ``stem_checks`` (default 10), under
+    the ceiling of ell.
     """
     _require_orders(depth=N)
     frame = branch_frame(shift)
     if frame is None:
         raise WrongTreeShapeError("tree has no branching vertex")
     kappa = frame.kappa
+    limit = int(kappa) if kappa != KAPPA_INF else int(stem_checks if stem_checks is not None else 10)
+    if kappa == KAPPA_INF:
+        _require_orders(ell=limit)
     ck = _Checker(mode, tol)
     params = {"depth": N, "m_max": m_max}
     notes: List[str] = []
@@ -784,12 +786,11 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
     ck.flag("determinate[shifted-orbit]", dv.kind == "determinate_exact", dv.note)
     notes.append("determinacy transfers down single-child edges to the stem orbit sequences")
 
-    carleman_seq = moment_sequence(shift, frame.branch_vertex, carleman_terms)
-    S = carleman_partial_sum(carleman_seq, carleman_terms)
-    ck.flag(f"carleman[{carleman_terms}]", True,
-            f"partial sum S_{carleman_terms} = {S:.6g} over {carleman_terms} terms; evidence only")
+    carleman_seq = moment_sequence(shift, frame.branch_vertex, CARLEMAN_TERMS)
+    S = carleman_partial_sum(carleman_seq, CARLEMAN_TERMS)
+    ck.flag(f"carleman[{CARLEMAN_TERMS}]", True,
+            f"partial sum S_{CARLEMAN_TERMS} = {S:.6g} over {CARLEMAN_TERMS} terms; evidence only")
 
-    limit = int(kappa) if kappa != KAPPA_INF else int(stem_checks if stem_checks is not None else 10)
     case_rep = certify_branch_tree(shift, measures, N, ell_max=max(limit, 1),
                                    mode=mode, tol=tol)
     ck.absorb(case_rep)

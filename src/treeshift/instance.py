@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import InstanceError, WeightUndefinedError
-from .measures import AtomicMeasure, moment_ratio_rule
+from .errors import InstanceError
+from .measures import AtomicMeasure
 from .moments import MomentSequence, TwoSidedMomentSequence
 from .rationals import RationalParseError, parse_rational, to_float
 from .shifts import WeightSystem, WeightedShift
@@ -100,6 +100,11 @@ def parse_tree(doc, path: str) -> DirectedTree:
 
 
 def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightSystem:
+    """The ``weights`` block as a WeightSystem's table, rays and default.
+
+    A map key must name a non-root vertex of ``tree``, and a rule's branch i
+    a ray with a vertex (i, 2): neither is dropped in silence.
+    """
     doc = _expect_mapping(doc, path)
     table = {}
     mapping = doc.get("map", {})
@@ -108,6 +113,8 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
         for key, spec in mapping.items():
             spec = _expect_mapping(spec, f"{path}.map[{key}]")
             v = parse_vertex(key)
+            if v == tree.root or not tree.has_vertex(v):
+                _fail(f"{path}.map[{key}]", "names no non-root vertex of the tree")
             if "sq" in spec:
                 table[v] = _rational(spec["sq"], f"{path}.map[{key}].sq", as_float)
             elif "amp" in spec:
@@ -117,7 +124,7 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
                 _fail(f"{path}.map[{key}]", 'expected an "sq" or "amp" field')
 
     rules = doc.get("rules", [])
-    ray_rules = {}
+    rays = {}
     if rules:
         if not isinstance(rules, list):
             _fail(f"{path}.rules", "expected a list of rule objects")
@@ -129,8 +136,9 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
             branch = rule.get("branch")
             if not isinstance(branch, int) or isinstance(branch, bool) or branch < 1:
                 _fail(f"{path}.rules[{i}].branch", "expected a branch index >= 1")
-            mu = parse_measure(rule.get("measure"), f"{path}.rules[{i}].measure", as_float)
-            ray_rules[branch] = moment_ratio_rule(mu)
+            if not tree.has_vertex((branch, 2)):
+                _fail(f"{path}.rules[{i}].branch", f"the tree has no ray vertex ({branch},2)")
+            rays[branch] = parse_measure(rule.get("measure"), f"{path}.rules[{i}].measure", as_float)
 
     default = doc.get("default")
     default_sq = None
@@ -140,20 +148,9 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
             _fail(f"{path}.default", 'expected an "sq" field')
         default_sq = _rational(default["sq"], f"{path}.default.sq", as_float)
 
-    if not table and not ray_rules and default_sq is None:
+    if not table and not rays and default_sq is None:
         _fail(path, "weight specification is empty")
-
-    def sq(v):
-        if v in table:
-            return table[v]
-        # ratio-of-moments rules cover the ray vertices (i, j >= 2)
-        if isinstance(v, tuple) and v[0] in ray_rules and v[1] >= 2:
-            return ray_rules[v[0]](v[1])
-        if default_sq is not None:
-            return default_sq
-        raise WeightUndefinedError(v)
-
-    return WeightSystem.from_rule(sq)
+    return WeightSystem(table, rays, default_sq)
 
 
 @dataclass

@@ -24,13 +24,19 @@ class RationalParseError(ValueError):
     """A string did not parse as integer/integer."""
 
 
+def _quoted(text) -> str:
+    """repr(text), or for a value of over 40 characters its first 40 and its length."""
+    s = str(text)
+    return repr(text) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} characters)"
+
+
 def parse_rational(text) -> Fraction:
     """Parse ``"p/q"`` or a bare integer (string or int) into a Fraction.
 
-    Zero denominators and non-integer parts are rejected.  An integer part
-    that ``int()`` refuses only for its length (more digits than
-    ``sys.get_int_max_str_digits()``, 4300 by default) is named by its digit
-    count, and the value is not echoed.
+    Zero denominators and non-integer parts are rejected, quoting at most 40
+    characters of the value.  An integer part that ``int()`` refuses only for
+    its length (more digits than ``sys.get_int_max_str_digits()``, 4300 by
+    default) is named by its digit count, and the value is not echoed.
     """
     if isinstance(text, bool):
         raise RationalParseError(f"not a rational: {text!r}")
@@ -49,9 +55,9 @@ def parse_rational(text) -> Fraction:
         if bad.isascii() and bad.isdigit():
             raise RationalParseError(f"an integer of {len(bad)} digits is past Python's int-string limit "
                                      f"(sys.get_int_max_str_digits(), 4300 digits by default)") from None
-        raise RationalParseError(f"not a rational: {text!r}") from exc
+        raise RationalParseError(f"not a rational: {_quoted(text)}") from exc
     if d == 0:
-        raise RationalParseError(f"zero denominator: {text!r}")
+        raise RationalParseError(f"zero denominator: {_quoted(text)}")
     return Fraction(n, d)
 
 
@@ -80,13 +86,6 @@ def to_float(x: Scalar, name: str) -> float:
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, Fraction)
-
-
-def mul0(a: Scalar, b: Scalar) -> Scalar:
-    """Product under the 0*inf = 0 convention used by every consistency sum."""
-    if a == 0 or b == 0:
-        return ZERO
-    return a * b
 
 
 def _digits(n: int) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import WeightUndefinedError, WrongTreeShapeError, ZeroWeightError
@@ -17,52 +18,56 @@ from .moments import MomentSequence
 from .rationals import ONE, ZERO, Scalar, as_scalar
 from .trees import KAPPA_INF, DirectedTree, format_vertex, make_tree_eta_kappa, walk_levels
 
-NONZERO_REQUIRED = "nonzero_required"
-ALLOW_ZERO = "allow_zero"
-
 
 class WeightSystem:
-    """Total map from non-root vertices to squared weight moduli.
+    """Squared weight moduli of an injective weighted shift, held as data.
 
-    Construct via :meth:`from_sq_map` or :meth:`from_rule`.  Caching inside
-    rule-based systems only ever adds entries, so concurrent readers see a
-    consistent view.
+    ``sq(v)`` decides every weight by one lookup: ``table[v]``; else, at a ray
+    vertex (i, j >= 2) with a measure ``rays[i]``, m_{j-1}(mu_i) / m_{j-2}(mu_i),
+    so the ray's products telescope to the moments of mu_i (cached per ray by
+    ``moment_ratio_rule``); else ``default``; else the opaque ``rule(v)``;
+    else :class:`WeightUndefinedError`.  The shifts are injective: a zero
+    value raises :class:`ZeroWeightError` and a negative one ValueError,
+    whichever step gave it.  ``domain`` is the table's keys when nothing else
+    is given, so that a finite tree is checked for unweighted vertices.
+    Caches only ever add entries, so concurrent readers see a consistent view.
     """
 
-    def __init__(self, sq_fn: Callable, zero_policy: str = NONZERO_REQUIRED,
-                 domain: Optional[frozenset] = None):
-        self._sq_fn = sq_fn
-        self.zero_policy = zero_policy
-        self.domain = domain
+    def __init__(self, table: Optional[Mapping] = None, rays: Optional[Mapping] = None,
+                 default=None, rule: Optional[Callable] = None):
+        self.table = {v: as_scalar(sq) for v, sq in (table or {}).items()}
+        self.rays = dict(rays or {})
+        self.default = None if default is None else as_scalar(default)
+        self.rule = rule
+        self._ratios = {i: moment_ratio_rule(mu) for i, mu in self.rays.items()}
+        only_table = not self.rays and self.default is None and rule is None
+        self.domain = frozenset(self.table) if only_table else None
 
     @classmethod
-    def from_sq_map(cls, mapping: Mapping, zero_policy: str = NONZERO_REQUIRED,
-                    default=None) -> "WeightSystem":
-        table = {v: as_scalar(sq) for v, sq in mapping.items()}
-        default_sq = None if default is None else as_scalar(default)
-
-        def sq(v):
-            if v in table:
-                return table[v]
-            if default_sq is not None:
-                return default_sq
-            raise WeightUndefinedError(v)
-
-        domain = None if default_sq is not None else frozenset(table)
-        return cls(sq, zero_policy=zero_policy, domain=domain)
+    def from_sq_map(cls, mapping: Mapping, default=None) -> "WeightSystem":
+        return cls(mapping, default=default)
 
     @classmethod
-    def from_rule(cls, sq_fn: Callable, zero_policy: str = NONZERO_REQUIRED) -> "WeightSystem":
-        return cls(sq_fn, zero_policy=zero_policy)
+    def from_rule(cls, sq_fn: Callable) -> "WeightSystem":
+        return cls(rule=sq_fn)
 
     def sq(self, v) -> Scalar:
-        value = self._sq_fn(v)
+        value = self.table.get(v)
+        if value is None:
+            if isinstance(v, tuple) and v[0] in self._ratios and v[1] >= 2:
+                value = self._ratios[v[0]](v[1])
+            elif self.default is not None:
+                value = self.default
+            elif self.rule is not None:
+                value = self.rule(v)
+            else:
+                raise WeightUndefinedError(v)
         if isinstance(value, Fraction) and value.numerator > 0:
             return value
         value = as_scalar(value)
         if value < 0:
             raise ValueError(f"squared weight at {v!r} is negative")
-        if value == 0 and self.zero_policy == NONZERO_REQUIRED:
+        if value == 0:
             raise ZeroWeightError(v)
         return value
 
@@ -105,6 +110,13 @@ def moment_sequence(shift: WeightedShift, u, N: int) -> MomentSequence:
     return MomentSequence(tuple(values))
 
 
+def _stem_weight(left: Callable, kappa, v) -> Scalar:
+    """left(j) at the stem vertex v = -j of a stem of length kappa; no other vertex has a weight."""
+    if isinstance(v, int) and not isinstance(v, bool) and v <= 0 and (kappa == KAPPA_INF or -v < kappa):
+        return left(-v)
+    raise WeightUndefinedError(v)
+
+
 def synthesize_weights_from_measures(tree: DirectedTree,
                                      branch_measures: Sequence[AtomicMeasure],
                                      entry_weight_sq: Sequence,
@@ -128,37 +140,16 @@ def synthesize_weights_from_measures(tree: DirectedTree,
         if any(s <= 0 for s, _ in mu.atoms):
             raise ValueError("branch measure atoms must be strictly positive")
 
-    entry = [as_scalar(x) for x in entry_weight_sq]
-
+    table = {(i, 1): e for i, e in enumerate(entry_weight_sq, 1)}
+    rule = None
     if callable(left_weight_sq):
-        left_fn = left_weight_sq
+        rule = partial(_stem_weight, left_weight_sq, kappa)
     else:
-        left_list = [as_scalar(x) for x in left_weight_sq]
-        if kappa != KAPPA_INF and len(left_list) < int(kappa):
-            raise ValueError(f"need {int(kappa)} stem weights, got {len(left_list)}")
-
-        def left_fn(j):
-            try:
-                return left_list[j]
-            except IndexError:
-                raise WeightUndefinedError(-j) from None
-
-    ray_rules = [moment_ratio_rule(mu) for mu in branch_measures]
-
-    def sq(v):
-        if isinstance(v, tuple):
-            i, j = v
-            if not 1 <= i <= eta:
-                raise WeightUndefinedError(v)
-            return entry[i - 1] if j == 1 else ray_rules[i - 1](j)
-        if isinstance(v, int) and not isinstance(v, bool):
-            if v == 0 and kappa == 0:
-                raise WeightUndefinedError(v)  # root carries no weight
-            if v <= 0 and (kappa == KAPPA_INF or -v < kappa):
-                return as_scalar(left_fn(-v))
-        raise WeightUndefinedError(v)
-
-    return WeightedShift(tree, WeightSystem.from_rule(sq))
+        left = list(left_weight_sq)
+        if kappa != KAPPA_INF and len(left) < kappa:
+            raise ValueError(f"need {int(kappa)} stem weights, got {len(left)}")
+        table.update((-j, left[j]) for j in range(min(len(left), kappa)))
+    return WeightedShift(tree, WeightSystem(table, dict(enumerate(branch_measures, 1)), rule=rule))
 
 
 def make_branch_shift(eta: int, kappa, branch_measures, entry_weight_sq,

@@ -179,7 +179,7 @@ def test_criterion_07_bijection():
 
 
 def test_criterion_08_necessary_pipeline(a3_shift):
-    report = necessary_checks_determinate(a3_shift, N=20, m_max=2, carleman_terms=30)
+    report = necessary_checks_determinate(a3_shift, N=20, m_max=2)
     assert report.verdict == Verdict.CERTIFIED
     cm = {c.cid: c for c in report.checks}
     assert cm["recover[(1,1)]"].passed and "d[1]" in cm["recover[(1,1)]"].note

@@ -757,3 +757,63 @@ def test_integer_past_the_digit_limit_is_named_not_echoed(capsys, tmp_path, valu
     for bad in ("12/ab", "+-3", "3/\u00b2"):
         code, _, err = run_cli(capsys, "moments", "check", _write(tmp_path, "bad.json", {"sequence": ["1", bad]}))
         assert (code, err) == (3, f"input error: $.sequence[1]: not a rational: {bad!r}\n")
+
+
+@pytest.mark.parametrize("value, length, quoted", [("ab/" + "5" * 4400, 4403, "'ab/" + "5" * 37 + "'"),
+                                                   ("5" * 4000 + "/0", 4002, "'" + "5" * 40 + "'")],
+                         ids=["malformed", "zero-denominator"])
+def test_malformed_rational_is_quoted_in_part(capsys, tmp_path, value, length, quoted):
+    # a malformed or zero-denominator value of thousands of characters: one short line names its length
+    path = _write(tmp_path, "long.json", {"sequence": ["1", value]})
+    code, out, err = run_cli(capsys, "moments", "check", path)
+    assert (code, out) == (3, "")
+    what = "zero denominator" if value.endswith("/0") else "not a rational"
+    assert err == f"input error: $.sequence[1]: {what}: {quoted}... ({length} characters)\n"
+
+
+class TestWeightsBlock:
+    """Every map key and rule branch names part of the tree, and every vertex of a finite tree has a weight."""
+
+    def test_edge_tree_vertex_without_weight(self, capsys, tmp_path):
+        doc = json.loads((DATA / "edge_chain.json").read_text())
+        del doc["weights"]["map"]["10"]
+        path = _write(tmp_path, "chain.json", doc)
+        assert run_cli(capsys, "certify", path, "--depth", "4") == (3, "", "error: no weight defined at vertex 10\n")
+
+    @pytest.mark.parametrize("key", ["(1;1)", "-1", "1", "(3,1)", "(1,0)", "(0,2)", "x"])
+    def test_map_key_outside_the_tree(self, capsys, tmp_path, key):
+        # a3's tree: root -1, branching vertex 0, rays (1,j) and (2,j) for j >= 1
+        doc = json.loads(json.dumps(A3_DOC))
+        doc["weights"]["map"][key] = doc["weights"]["map"].pop("(1,1)")
+        doc["weights"]["default"] = {"sq": "1"}
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "key.json", doc), "--depth", "4")
+        assert (code, out) == (3, "")
+        assert err == f"input error: $.weights.map[{key}]: names no non-root vertex of the tree\n"
+
+    @pytest.mark.parametrize("branch", [3, 9])
+    def test_rule_branch_outside_the_tree(self, capsys, tmp_path, branch):
+        doc = json.loads(json.dumps(A3_DOC))
+        doc["weights"]["rules"][1]["branch"] = branch
+        doc["weights"]["default"] = {"sq": "2"}
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "rule.json", doc), "--depth", "4")
+        assert (code, out) == (3, "")
+        assert err == f"input error: $.weights.rules[1].branch: the tree has no ray vertex ({branch},2)\n"
+
+    def test_necessary_reads_ell(self, capsys, tmp_path):
+        # the infinite-stem fixture with every stem weight past -5 set to 1
+        doc = json.loads((DATA / "kappa_inf.json").read_text())
+        doc["weights"]["default"] = {"sq": "1/1"}
+        path = _write(tmp_path, "unit.json", doc)
+
+        def stem_equalities(*argv, file=path):
+            code, out, _ = run_cli(capsys, "certify", file, "--necessary", "--format", "struct", *argv)
+            assert code in (0, 1)
+            return out.count('"id":"widly1[')
+
+        assert [stem_equalities("--ell", str(ell)) for ell in (3, 7, 50)] == [3, 7, 50]
+        assert stem_equalities() == 10
+        doc["ell"] = 4
+        assert stem_equalities(file=_write(tmp_path, "ell.json", doc)) == 4
+        assert stem_equalities("--ell", "6", file=_write(tmp_path, "ell.json", doc)) == 6
+        code, _, err = run_cli(capsys, "certify", path, "--necessary", "--ell", str(10 ** 8))
+        assert (code, err) == (3, "error: ell must be at most 10000, got 100000000\n")

@@ -14,6 +14,7 @@ from treeshift import (
     WeightSystem,
     WeightedShift,
     WrongTreeShapeError,
+    ZeroWeightError,
     branch_frame,
     build_branch_tree_system,
     build_tree,
@@ -35,7 +36,6 @@ from treeshift import (
     synthesize_weights_from_measures,
     verify_consistent_system,
 )
-from treeshift.shifts import ALLOW_ZERO
 from conftest import DELTA1, DELTA2, random_measure, stem_sq_rule
 
 HALF = Fraction(1, 2)
@@ -58,12 +58,12 @@ class TestConsistencyAt:
         assert ok and lhs == Fraction(3, 4)
 
     def test_zero_weight_convention(self):
+        # the shifts are injective, so a zero weight is rejected and no 0 * inf convention is needed
         tree = build_tree([("u", "a"), ("u", "b")])
-        weights = WeightSystem.from_sq_map({"a": 1, "b": 0}, zero_policy=ALLOW_ZERO)
-        shift = WeightedShift(tree, weights)
+        shift = WeightedShift(tree, WeightSystem.from_sq_map({"a": 1, "b": 0}))
         with_zero_atom = AtomicMeasure.from_atoms([(0, HALF), (1, HALF)])
-        ok, lhs = consistency_at(shift, "u", {"a": DELTA1, "b": with_zero_atom})
-        assert ok and lhs == 1  # 0 * inf contributes nothing
+        with pytest.raises(ZeroWeightError):
+            consistency_at(shift, "u", {"a": DELTA1, "b": with_zero_atom})
 
 
 class TestVerifySystem:
@@ -262,14 +262,12 @@ class TestRootMeasureForm:
         assert max(reads[-j] for j in range(kappa)) <= 2
 
     def test_zero_stem_weight_fails_prob(self, a3_measures):
-        # a zero weight makes every stem product above it zero; prob[n] divides by none of them
-        weights = WeightSystem.from_sq_map({0: 1, -1: 0, -2: 2, (1, 1): HALF, (2, 1): 1},
-                                           zero_policy=ALLOW_ZERO, default=1)
+        # a zero stem weight is rejected like every zero weight, not carried into the stem products
+        weights = WeightSystem.from_sq_map({0: 1, -1: 0, -2: 2, (1, 1): HALF, (2, 1): 1}, default=1)
         shift = WeightedShift(make_tree_eta_kappa(2, 3), weights)
         nu = AtomicMeasure.from_atoms([(0, HALF), (1, HALF)])
-        cm = check_map(certify_branch_tree_root_measure(shift, a3_measures, nu, N=3))
-        assert [cm[f"prob[{n}]"].rhs for n in (1, 2, 3)] == [2, 0, 0]
-        assert not cm["prob[1]"].passed and cm["probp[2]"].rhs == 0
+        with pytest.raises(ZeroWeightError):
+            certify_branch_tree_root_measure(shift, a3_measures, nu, N=3)
 
 
 class TestEquivalenceRoundtrip:
@@ -392,7 +390,7 @@ class TestNecessaryPipeline:
         assert cm["alanconsi[-1]"].lhs == Fraction(3, 4)
 
     def test_carleman_evidence_threshold(self, a3_shift):
-        report = necessary_checks_determinate(a3_shift, N=10, m_max=2, carleman_terms=30)
+        report = necessary_checks_determinate(a3_shift, N=10, m_max=2)
         note = check_map(report)["carleman[30]"].note
         value = float(note.split("=")[1].split("over")[0])
         assert value >= 20

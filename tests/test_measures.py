@@ -174,14 +174,14 @@ class TestMomentRatioRule:
             moment_ratio_rule(AtomicMeasure.point_mass(0))(2)
 
     def test_document_rules_and_synthesis_agree(self):
-        from treeshift import make_branch_shift
+        from treeshift import make_branch_shift, make_tree_eta_kappa
         from treeshift.instance import parse_weights
 
         mu = AtomicMeasure.from_atoms([(1, HALF), (Fraction(5, 2), HALF)])
         doc = {"map": {"(1,1)": {"sq": "1/2"}, "(2,1)": {"sq": "1/2"}},
                "rules": [{"branch": i, "formula": "ratio_of_moments",
                           "measure": {"atoms": [["1", "1/2"], ["5/2", "1/2"]]}} for i in (1, 2)]}
-        parsed = parse_weights(doc, "$.weights", None, as_float=False)
+        parsed = parse_weights(doc, "$.weights", make_tree_eta_kappa(2, 0), as_float=False)
         synthesized = make_branch_shift(2, 0, [mu, mu], [HALF, HALF])
         for v in [(i, j) for i in (1, 2) for j in range(1, 9)]:
             assert parsed.sq(v) == synthesized.sq(v)

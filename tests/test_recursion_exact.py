@@ -34,11 +34,18 @@ from treeshift.criteria import (
     _zgod0_checks,
     branch_frame,
 )
-from treeshift.rationals import ONE, ZERO, format_human, mul0
+from treeshift.rationals import ONE, ZERO, format_human
 from treeshift.trees import format_vertex, single_child_path
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def mul0(a, b):
+    """The 0*inf = 0 product that the library used while zero weights were allowed."""
+    if a == 0 or b == 0:
+        return ZERO
+    return a * b
 
 
 def parent_verify(shift, system, depth=None, mode="auto", tol=1e-9):

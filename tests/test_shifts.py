@@ -19,6 +19,7 @@ from treeshift import (
     synthesize_weights_from_measures,
 )
 from treeshift.rationals import ZERO
+from treeshift.trees import KAPPA_INF
 from conftest import DELTA1, DELTA2, edge_trees
 
 HALF = Fraction(1, 2)
@@ -180,14 +181,31 @@ class TestWeightSystems:
         assert WeightSystem.from_rule(lambda v: value).sq(1) is value
         assert WeightSystem.from_rule(lambda v: 2).sq(1) == Fraction(2)
 
-    def test_zero_weight_allowed_when_opted_in(self):
-        from treeshift.shifts import ALLOW_ZERO
-
-        ws = WeightSystem.from_sq_map({1: 0}, zero_policy=ALLOW_ZERO)
-        assert ws.sq(1) == 0
-
     def test_missing_weight_on_finite_tree(self):
         tree = build_tree([(0, 1), (1, 2)])
         with pytest.raises(WeightUndefinedError):
             WeightedShift(tree, WeightSystem.from_sq_map({1: Fraction(1)}))
 
+    def test_one_lookup_order(self):
+        # table, then the ray measure at (i, j >= 2), then the default, then the rule
+        mu = AtomicMeasure.from_atoms([(1, HALF), (3, HALF)])   # moments 1, 2, 5, 14
+        ws = WeightSystem({(1, 3): 7, 5: 3}, {1: mu}, default=HALF, rule=lambda v: 9)
+        assert [ws.sq(v) for v in [(1, 3), 5, (1, 2), (1, 4), (1, 1), (2, 2), -4]] == [
+            7, 3, 2, Fraction(14, 5), HALF, HALF, HALF]
+        assert WeightSystem({5: 3}, {1: mu}, rule=lambda v: 9).sq((2, 2)) == 9
+        assert ws.domain is None and WeightSystem({5: 3}).domain == {5}
+        with pytest.raises(WeightUndefinedError):
+            WeightSystem({5: 3}, {1: mu}).sq((1, 1))
+
+    @pytest.mark.parametrize("build, v", [
+        (lambda: WeightSystem({(1, 1): 0}, {1: DELTA2}, default=1), (1, 1)),
+        (lambda: WeightSystem({}, {1: DELTA2}, default=0), (2, 2)),
+        (lambda: WeightSystem({}, {1: DELTA2}, rule=lambda v: 0), (2, 2)),
+        (lambda: make_branch_shift(2, 1, [DELTA1, DELTA2], [HALF, 0], [1]).weights, (2, 1)),
+        (lambda: make_branch_shift(2, 1, [DELTA1, DELTA2], [HALF, 1], [0]).weights, 0),
+        (lambda: make_branch_shift(2, KAPPA_INF, [DELTA1, DELTA2], [HALF, 1], lambda j: 0).weights, -3),
+    ], ids=["table", "default", "rule", "entry", "stem", "stem-rule"])
+    def test_zero_weight_rejected_on_every_path(self, build, v):
+        # the shifts are injective: no constructor lets a zero weight through
+        with pytest.raises(ZeroWeightError):
+            build().sq(v)

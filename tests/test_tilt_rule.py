@@ -22,7 +22,7 @@ from treeshift import (
     root_measure_from_branches,
 )
 from treeshift.measures import mixture
-from treeshift.rationals import ONE, ZERO, as_scalar, mul0
+from treeshift.rationals import ONE, ZERO, as_scalar
 
 # few locations, so that atoms of different branch measures often coincide
 LOCATIONS = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
@@ -42,6 +42,13 @@ def measures(draw, zero_atom=False, probability=False):
 
 
 # -- verbatim copies of the replaced formulas ------------------------------------------
+
+
+def mul0(a, b):
+    """The 0*inf = 0 product that the library used while zero weights were allowed."""
+    if a == 0 or b == 0:
+        return ZERO
+    return a * b
 
 
 def chain_formula(rep, k, tk):
