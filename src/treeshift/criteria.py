@@ -499,12 +499,17 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
 # -- the one-branching-vertex family ------------------------------------------
 
 
-def _case_for_kappa(kappa) -> str:
-    if kappa == 0:
-        return "i"
-    if kappa == KAPPA_INF:
-        return "iv"
-    return "ii"
+def _branch_setup(shift: WeightedShift, branch_measures: Sequence[AtomicMeasure],
+                  depth: int) -> Tuple[BranchFrame, List[Scalar]]:
+    """Apply the depth ceiling and reject a chain or bad branch measures; the frame and the entry weights, read once."""
+    _require_orders(depth=depth)
+    frame = branch_frame(shift)
+    if frame is None:
+        raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
+    if len(branch_measures) != len(frame.entries):
+        raise ValueError(f"expected {len(frame.entries)} branch measures")
+    _validate_branch_measures(branch_measures)
+    return frame, [shift.sq(v) for v in frame.entries]
 
 
 def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
@@ -521,12 +526,37 @@ def _zgod0_checks(ck: _Checker, shift: WeightedShift, frame: BranchFrame,
             prod = ck.eq_sum(f"zgod0[{i},{n}]", moments_of(mu, n), ((shift.sq(ray[n]), prod),))
 
 
-def _entry_sum(shift: WeightedShift, frame: BranchFrame,
-               measures: Sequence[AtomicMeasure], power: int) -> Scalar:
-    total = ZERO
-    for entry, mu in zip(frame.entries, measures):
-        total = total + shift.sq(entry) * moments_of(mu, power)
-    return total
+def _stem_masses(shift: WeightedShift, frame: BranchFrame, measures: Sequence[AtomicMeasure],
+                 entry_sq: Sequence[Scalar], last: int):
+    """P_l * S_l for l = 0..last: the mass of P_l s^-(l+1) dmix, the body of stem vertex l.
+
+    S_l = sum_i sq(entry_i) m_{-(l+1)}(mu_i) is summed entry by entry, not over the
+    merged atoms of mix = sum_i sq(entry_i) mu_i: float values depend on that order.
+    """
+    for l, P in enumerate(_stem_products(shift, frame, last)):
+        yield P * sum((e * moments_of(mu, -(l + 1)) for e, mu in zip(entry_sq, measures)), ZERO)
+
+
+def _case_checks(shift: WeightedShift, frame: BranchFrame, measures: Sequence[AtomicMeasure],
+                 entry_sq: Sequence[Scalar], N: int, ell_max: int, mode: str, tol: float):
+    """zgod0 to order N, then one check per stem mass; returns the checker and the masses.
+
+    The mass is at most 1 at the root (zgod with no stem, widly1p) and 1 below
+    it (zgodp at the branching vertex, widly1[l]); an infinite stem is checked
+    for l <= ell_max, the one case that reads ell_max and its ceiling.
+    """
+    rooted = frame.kappa != KAPPA_INF
+    if not rooted:
+        _require_orders(ell=ell_max)
+    ck = _Checker(mode, tol)
+    _zgod0_checks(ck, shift, frame, measures, N)
+    last = int(frame.kappa) if rooted else ell_max
+    masses = list(_stem_masses(shift, frame, measures, entry_sq, last))
+    for l, mass in enumerate(masses):
+        at_root = rooted and l == last
+        cid = ("zgod" if at_root else "zgodp") if l == 0 else ("widly1p" if at_root else f"widly1[{l}]")
+        (ck.le if at_root else ck.eq)(cid, mass, ONE)
+    return ck, masses
 
 
 def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMeasure],
@@ -535,44 +565,23 @@ def certify_branch_tree(shift: WeightedShift, branch_measures: Sequence[AtomicMe
     """Sufficiency criterion on the single-branching-vertex family.
 
     Verifies that the branch measures reproduce the ray weight products
-    (zgod0, to order N), then the stem case selected by the stem length:
-    no stem -> one inequality (zgod); finite stem -> the entry-sum equality,
-    the stem equalities for l below the stem length, and the final
-    inequality (widly1'); infinite stem -> equalities for l up to ell_max.
+    (zgod0, to order N), then the stem case selected by the stem length, on
+    the mass P_l S_l of stem vertex l: no stem -> one inequality (zgod);
+    finite stem -> the entry-sum equality, the stem equalities for l below
+    the stem length, and the final inequality (widly1'); infinite stem ->
+    equalities for l up to ell_max.  ``build_branch_tree_system`` tilts to
+    the same masses.
     """
-    _require_orders(depth=N)
-    frame = branch_frame(shift)
-    if frame is None:
-        raise WrongTreeShapeError("tree has no branching vertex; use the chain criteria")
-    if len(branch_measures) != len(frame.entries):
-        raise ValueError(f"expected {len(frame.entries)} branch measures")
-    _validate_branch_measures(branch_measures)
-    auto = _case_for_kappa(frame.kappa)
+    frame, entry_sq = _branch_setup(shift, branch_measures, N)
+    auto = "i" if frame.kappa == 0 else "iv" if frame.kappa == KAPPA_INF else "ii"
     if case in (None, "auto"):
         case = auto
     elif case == "iii":
         raise CaseMismatchError("the root-measure form is checked by certify_branch_tree_root_measure")
     elif case != auto:
         raise CaseMismatchError(f"stem length {frame.kappa} selects case {auto}, not {case}")
-    if case == "iv":   # the one case that reads ell_max, so the one its ceiling applies to
-        _require_orders(ell=ell_max)
-
-    ck = _Checker(mode, tol)
-    _zgod0_checks(ck, shift, frame, branch_measures, N)
-    sum1 = _entry_sum(shift, frame, branch_measures, -1)
+    ck, _ = _case_checks(shift, frame, branch_measures, entry_sq, N, ell_max, mode, tol)
     params = {"depth": N, "case": case}
-    if case == "i":
-        ck.le("zgod", sum1, ONE)
-    else:
-        # case ii ends in the inequality at l = kappa, case iv checks equalities up to ell_max
-        ck.eq("zgodp", sum1, ONE)
-        last = int(frame.kappa) if case == "ii" else ell_max
-        for l, P in enumerate(_stem_products(shift, frame, last)[1:], 1):
-            lhs = P * _entry_sum(shift, frame, branch_measures, -(l + 1))
-            if case == "ii" and l == last:
-                ck.le("widly1p", lhs, ONE)
-            else:
-                ck.eq(f"widly1[{l}]", lhs, ONE)
     notes = ["premises of the one-branching-vertex sufficiency criterion verified to the stated order"]
     if case == "iv":
         params["ell_max"] = ell_max
@@ -589,17 +598,11 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
     Checks that the moments of nu reproduce the root orbit norms (prob[n],
     n up to the stem length; prob[0] is the probability normalization) and
     the measure identity s^kappa dnu = P * sum_i sq_i (1/s) dmu_i atom by
-    atom (probp).
+    atom (probp), once the data pass the checks of ``certify_branch_tree``.
     """
-    _require_orders(depth=N)
-    frame = branch_frame(shift)
-    if frame is None:
-        raise WrongTreeShapeError("tree has no branching vertex")
+    frame, entry_sq = _branch_setup(shift, branch_measures, N)
     if frame.kappa == 0 or frame.kappa == KAPPA_INF:
         raise CaseMismatchError("the root-measure form needs a finite nonzero stem")
-    if len(branch_measures) != len(frame.entries):
-        raise ValueError(f"expected {len(frame.entries)} branch measures")
-    _validate_branch_measures(branch_measures)
     kappa = int(frame.kappa)
 
     ck = _Checker(mode, tol)
@@ -612,7 +615,7 @@ def certify_branch_tree_root_measure(shift: WeightedShift,
         ck.eq(f"prob[{n}]", moments_of(nu, n), rhs)
     # the rhs of probp is the measure P sum_i sq_i (1/s) dmu_i
     P = _stem_products(shift, frame, kappa)[-1]
-    mix = mixture(branch_measures, [shift.sq(v) for v in frame.entries])
+    mix = mixture(branch_measures, entry_sq)
     stem = mix.tilted(-1, P * mix.moment(-1))
     locations = {s for s, _ in nu.atoms if s != 0}
     for mu in branch_measures:
@@ -635,13 +638,12 @@ def root_measure_equivalence_roundtrip(shift: WeightedShift,
     outcomes agree.  A supplied nu is checked in the reverse direction: if
     it passes the root-measure form, the equality form must pass too.
     """
-    frame = branch_frame(shift)
-    if frame is None or frame.kappa == 0 or frame.kappa == KAPPA_INF:
+    frame, entry_sq = _branch_setup(shift, branch_measures, N)
+    if frame.kappa == 0 or frame.kappa == KAPPA_INF:
         raise CaseMismatchError("the equivalence concerns the finite nonzero stem cases")
     kappa = int(frame.kappa)
     rep2 = certify_branch_tree(shift, branch_measures, N, case="ii", mode=mode, tol=tol)
 
-    entry_sq = [shift.sq(v) for v in frame.entries]
     left_sq = [shift.sq(frame.stem_vertex(j)) for j in range(kappa)]
     nu_note = ""
     try:
@@ -692,27 +694,24 @@ def build_branch_tree_system(shift: WeightedShift,
     """Construct the vertex measures and defects realizing the measure recursion.
 
     Along ray i the measure at depth n is s^(n-1) dmu_i normalized by the
-    (n-1)-st moment; at the branching vertex and down the stem the measures
-    are the weighted negative-power transforms of the branch measures; the
+    (n-1)-st moment; stem vertex l (the branching vertex at l = 0) carries
+    the mixture sum_i sq(entry_i) mu_i tilted by -(l+1) to the mass P_l S_l
+    that its case check (zgod, zgodp, widly1[l], widly1p) recorded; the
     defect sits at the root only.  Raises PremiseViolatedError (naming the
     failing condition id) when the case premises do not hold, since the
     construction is only valid then.
     """
-    _require_orders(depth=depth)
-    frame = branch_frame(shift)
-    if frame is None:
-        raise WrongTreeShapeError("tree has no branching vertex")
+    frame, entry_sq = _branch_setup(shift, branch_measures, depth)
     kappa = frame.kappa
     rooted = kappa != KAPPA_INF
     if rooted and depth < int(kappa):
         raise ValueError(f"depth {depth} does not reach the branching vertex (stem {kappa})")
     branch_depth = depth - int(kappa) if rooted else depth
-    stem_len = int(kappa) if rooted else int(ell_max if ell_max is not None else depth)
+    ell = int(ell_max if ell_max is not None else depth)   # read by case iv only
 
-    precheck = certify_branch_tree(shift, branch_measures, max(branch_depth, 1),
-                                   ell_max=stem_len, mode=mode, tol=tol)
-    if not precheck.passed:
-        bad = precheck.witness()
+    ck, masses = _case_checks(shift, frame, branch_measures, entry_sq, max(branch_depth, 1), ell, mode, tol)
+    bad = next((c for c in ck.checks if not c.passed), None)
+    if bad is not None:
         raise PremiseViolatedError(bad.cid, bad.note)
 
     mu: dict = {}
@@ -724,14 +723,14 @@ def build_branch_tree_system(shift: WeightedShift,
             mu[v] = bmu.tilted(n - 1)
             eps[v] = ZERO
 
-    # stem vertex l (the branching vertex at l = 0) carries P_l s^-(l+1) dmix, the tilt of
-    # the mixture sum_i e_i mu_i; the root also carries the defect at 0
-    mix = mixture(branch_measures, [shift.sq(v) for v in frame.entries])
-    last = int(kappa) if rooted else stem_len
-    for l, P in enumerate(_stem_products(shift, frame, last)):
-        body = mix.tilted(-(l + 1), P * mix.moment(-(l + 1)))
+    # stem vertex l (the branching vertex at l = 0) carries P_l s^-(l+1) dmix, the tilt of the
+    # mixture sum_i e_i mu_i to the mass its case check recorded; the root also carries the defect,
+    # none when a float mass that passed its check within tolerance exceeds 1 by rounding
+    mix = mixture(branch_measures, entry_sq)
+    for l, mass in enumerate(masses):
+        body = mix.tilted(-(l + 1), mass)
         v = frame.stem_vertex(l)
-        eps[v] = 1 - body.total_mass() if rooted and l == last else ZERO
+        eps[v] = max(1 - body.total_mass(), ZERO) if rooted and l == len(masses) - 1 else ZERO
         mu[v] = body.with_defect(eps[v])
     return ConsistentSystem(mu, eps)
 

@@ -8,6 +8,7 @@ after parsing so a malformed rational is rejected either way.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 from .errors import InstanceError
 from .measures import AtomicMeasure
 from .moments import MomentSequence, TwoSidedMomentSequence
-from .rationals import RationalParseError, parse_rational, to_float
+from .rationals import RationalParseError, _quoted, parse_rational, to_float
 from .shifts import WeightSystem, WeightedShift
 from .trees import (
     KAPPA_INF,
@@ -103,7 +104,8 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
     """The ``weights`` block as a WeightSystem's table, rays and default.
 
     A map key must name a non-root vertex of ``tree``, and a rule's branch i
-    a ray with a vertex (i, 2): neither is dropped in silence.
+    a ray with a vertex (i, 2): neither is dropped in silence.  A key of over
+    40 characters is quoted in error paths by its first 40 and its length.
     """
     doc = _expect_mapping(doc, path)
     table = {}
@@ -111,17 +113,18 @@ def parse_weights(doc, path: str, tree: DirectedTree, as_float: bool) -> WeightS
     if mapping:
         mapping = _expect_mapping(mapping, f"{path}.map")
         for key, spec in mapping.items():
-            spec = _expect_mapping(spec, f"{path}.map[{key}]")
+            at = f"{path}.map[{key if len(key) <= 40 else _quoted(key)}]"
+            spec = _expect_mapping(spec, at)
             v = parse_vertex(key)
             if v == tree.root or not tree.has_vertex(v):
-                _fail(f"{path}.map[{key}]", "names no non-root vertex of the tree")
+                _fail(at, "names no non-root vertex of the tree")
             if "sq" in spec:
-                table[v] = _rational(spec["sq"], f"{path}.map[{key}].sq", as_float)
+                table[v] = _rational(spec["sq"], f"{at}.sq", as_float)
             elif "amp" in spec:
-                amp = _rational(spec["amp"], f"{path}.map[{key}].amp", as_float)
+                amp = _rational(spec["amp"], f"{at}.amp", as_float)
                 table[v] = amp * amp
             else:
-                _fail(f"{path}.map[{key}]", 'expected an "sq" or "amp" field')
+                _fail(at, 'expected an "sq" or "amp" field')
 
     rules = doc.get("rules", [])
     rays = {}
@@ -167,12 +170,21 @@ class Instance:
 
 
 def load_document(path) -> dict:
+    """The JSON object in the file; an integer literal past Python's int-string limit is an input error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceError(str(path), f"cannot read file: {exc}") from exc
+
+    def parse_int(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:   # int() refuses a literal of digits only past the digit limit
+            raise InstanceError(str(path), f"an integer literal of {len(literal.lstrip('-'))} digits is past "
+                                           f"the limit of {sys.get_int_max_str_digits()} digits") from None
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise InstanceError(str(path), f"invalid JSON: {exc}") from exc
     return _expect_mapping(doc, "$")

@@ -7,6 +7,7 @@ stored as squared moduli and phases are dropped on input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,9 +28,10 @@ class WeightSystem:
     so the ray's products telescope to the moments of mu_i (cached per ray by
     ``moment_ratio_rule``); else ``default``; else the opaque ``rule(v)``;
     else :class:`WeightUndefinedError`.  The shifts are injective: a zero
-    value raises :class:`ZeroWeightError` and a negative one ValueError,
-    whichever step gave it.  ``domain`` is the table's keys when nothing else
-    is given, so that a finite tree is checked for unweighted vertices.
+    value raises :class:`ZeroWeightError`, and a negative, infinite or NaN
+    one ValueError, whichever step gave it.  ``domain`` is the table's keys
+    when nothing else is given, so that a finite tree is checked for
+    unweighted vertices.
     Caches only ever add entries, so concurrent readers see a consistent view.
     """
 
@@ -69,6 +71,8 @@ class WeightSystem:
             raise ValueError(f"squared weight at {v!r} is negative")
         if value == 0:
             raise ZeroWeightError(v)
+        if not math.isfinite(value):   # NaN passes both tests above
+            raise ValueError(f"squared weight at {v!r} is {value!r}, not a finite number")
         return value
 
 

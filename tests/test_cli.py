@@ -759,6 +759,18 @@ def test_integer_past_the_digit_limit_is_named_not_echoed(capsys, tmp_path, valu
         assert (code, err) == (3, f"input error: $.sequence[1]: not a rational: {bad!r}\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit")
+@pytest.mark.parametrize("literal, digits", [("7" * 5000, 5000), ("-" + "7" * 4301, 4301)],
+                         ids=["5000-digits", "negative-4301-digits"])
+def test_integer_literal_past_the_digit_limit_is_named(capsys, tmp_path, literal, digits):
+    # json.loads would raise Python's own message, which advises raising the limit
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(A3_DOC)[:-1] + f', "depth": {literal}}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "certify", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"input error: {path}: an integer literal of {digits} digits is past the limit of 4300 digits\n"
+
+
 @pytest.mark.parametrize("value, length, quoted", [("ab/" + "5" * 4400, 4403, "'ab/" + "5" * 37 + "'"),
                                                    ("5" * 4000 + "/0", 4002, "'" + "5" * 40 + "'")],
                          ids=["malformed", "zero-denominator"])
@@ -789,6 +801,19 @@ class TestWeightsBlock:
         code, out, err = run_cli(capsys, "certify", _write(tmp_path, "key.json", doc), "--depth", "4")
         assert (code, out) == (3, "")
         assert err == f"input error: $.weights.map[{key}]: names no non-root vertex of the tree\n"
+
+    @pytest.mark.parametrize("key, spec, tail", [
+        ("1" * 5000, {"sq": "1"}, "names no non-root vertex of the tree"),
+        ("(1,1)" + " " * 100, {"sq": "x"}, ".sq: not a rational: 'x'"),
+    ], ids=["no-vertex", "bad-sq"])
+    def test_long_map_key_is_quoted_in_part(self, capsys, tmp_path, key, spec, tail):
+        # the error path quotes a key of over 40 characters by its first 40 and its length
+        doc = json.loads(json.dumps(A3_DOC))
+        doc["weights"]["map"][key] = spec
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "key.json", doc), "--depth", "4")
+        assert (code, out) == (3, "")
+        sep = "" if tail.startswith(".") else ": "
+        assert err == f"input error: $.weights.map[{key[:40]!r}... ({len(key)} characters)]{sep}{tail}\n"
 
     @pytest.mark.parametrize("branch", [3, 9])
     def test_rule_branch_outside_the_tree(self, capsys, tmp_path, branch):

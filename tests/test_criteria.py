@@ -371,6 +371,15 @@ class TestBuildSystem:
             build_branch_tree_system(shift, a3_measures, depth=4)
         assert exc.value.condition_id == "widly1p"
 
+    def test_float_root_mass_rounding_over_one_leaves_no_defect(self):
+        # in floats the root's mass P_1 S_1 = (10/17)(2/5)(2 + 1/4) sums to 1.0000000000000002,
+        # which widly1p passes within tolerance; 1 minus it was a negative defect that from_atoms rejected
+        mus = [AtomicMeasure.from_atoms([(0.5, 1.0)]), AtomicMeasure.from_atoms([(2.0, 1.0)])]
+        shift = make_branch_shift(2, 1, mus, [0.4, 0.4], [10 / 17])
+        system = build_branch_tree_system(shift, mus, depth=3)
+        assert system.eps_at(-1) == 0 and not system.mu[-1].has_zero_atom()
+        assert verify_consistent_system(shift, system).verdict == Verdict.CERTIFIED
+
     def test_infinite_stem_system(self, a3_infinite_shift, a3_measures):
         system = build_branch_tree_system(a3_infinite_shift, a3_measures, depth=5, ell_max=6)
         assert all(system.eps_at(v) == 0 for v in system.mu)

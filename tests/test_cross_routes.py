@@ -2,16 +2,17 @@
 
 The paper's theorem is reached here by independent routes: the case
 conditions (`certify_branch_tree`), the consistent system they build and its
-atom-by-atom re-verification, Part I's identity int s^n dmu_u = ||S^n e_u||^2
-(`moment_sequence`), the Hankel test of the orbits, atomic recovery of the ray
-measures, and the necessity pipeline for determinate ray measures.  Each
+atom-by-atom re-verification, the stem masses that both read, Part I's
+identity int s^n dmu_u = ||S^n e_u||^2 (`moment_sequence`), the Hankel test
+of the orbits, atomic recovery of the ray measures, and the necessity
+pipeline for determinate ray measures.  Each
 property ties two of them together on generated instances: exact atomic branch
 measures, eta in {2, 3, 4} and kappa in {0, 1, 2, 3, inf}, with the entry-sum
 and stem equalities forced and the entry weights (kappa = 0) or one stem weight
 scaled so that some instances pass and some fail.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from treeshift import (
     stieltjes_check,
     verify_consistent_system,
 )
+from treeshift.measures import mixture
 
 # stem equalities checked, and stem vertices built, on the infinite stem
 ELL = 4
@@ -49,6 +51,8 @@ class Instance:
     kappa: object
     measures: tuple
     scale: Fraction
+    entry: tuple
+    left: object        # the stem weights: a list, or j -> weight on the infinite stem
     shift: object
 
     @property
@@ -63,6 +67,14 @@ class Instance:
     @property
     def atoms(self) -> int:
         return sum(len(mu.atoms) for mu in self.measures)
+
+    def as_floats(self) -> "Instance":
+        """The same instance with every atom and weight converted to a float."""
+        mus = tuple(AtomicMeasure(tuple((float(s), float(w)) for s, w in mu.atoms)) for mu in self.measures)
+        entry = tuple(float(e) for e in self.entry)
+        left = (lambda j: float(self.left(j))) if callable(self.left) else [float(w) for w in self.left]
+        return replace(self, measures=mus, entry=entry, left=left,
+                       shift=make_branch_shift(self.eta, self.kappa, list(mus), list(entry), left))
 
 
 @st.composite
@@ -106,7 +118,7 @@ def instances(draw):
             left = [forced(j) for j in range(kappa)]
             left[-1] *= scale
     shift = make_branch_shift(eta, kappa, mus, entry, left)
-    return Instance(eta, kappa, tuple(mus), scale, shift)
+    return Instance(eta, kappa, tuple(mus), scale, tuple(entry), left, shift)
 
 
 def certify(inst: Instance):
@@ -172,3 +184,36 @@ def test_necessity_pipeline_agrees_with_the_certificate(inst):
     report = necessary_checks_determinate(inst.shift, 2 * M_MAX + 1, M_MAX, stem_checks=ELL)
     assert report.verdict != Verdict.INCONCLUSIVE
     assert report.passed == certify(inst).passed
+
+
+def stem_lhs(report, kappa) -> dict:
+    """Stem vertex l -> the lhs recorded for its mass: zgod or zgodp at l = 0, widly1[l], widly1p at the root."""
+    lhs = {}
+    for c in report.checks:
+        if c.cid in ("zgod", "zgodp"):
+            lhs[0] = c.lhs
+        elif c.cid == "widly1p":
+            lhs[kappa] = c.lhs
+        elif c.cid.startswith("widly1["):
+            lhs[int(c.cid[len("widly1["):-1])] = c.lhs
+    return lhs
+
+
+@HARNESS
+@given(instances().filter(lambda inst: inst.should_pass))
+def test_stem_bodies_carry_the_masses_that_certify_records(inst):
+    """Stem vertex l's body is the mixture tilted to the mass certify recorded, exactly and in floats.
+
+    In floats the body's atoms need not sum to its mass, so there the body is
+    compared, with ==, to the tilt of the mixture to the recorded lhs.
+    """
+    for case in (inst, inst.as_floats()):
+        lhs = stem_lhs(certify(case), case.kappa)
+        system = build(case)
+        mix = mixture(list(case.measures), list(case.entry))
+        assert {v for v in system.mu if isinstance(v, int)} == {-l for l in lhs}
+        for l, mass in lhs.items():
+            mu = system.mu[-l]
+            assert mu.atoms == mix.tilted(-(l + 1), mass).with_defect(system.eps[-l]).atoms, l
+            if case is inst:
+                assert sum((w for s, w in mu.atoms if s), Fraction(0)) == mass, l

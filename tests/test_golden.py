@@ -35,6 +35,11 @@ CASES = {
     "kappa3-case-ii-float": (0, ["certify", "kappa3.json", "--depth", "10", "--mode", "float"]),
     "kappa3-necessary": (0, ["certify", "kappa3.json", "--necessary", "--depth", "12"]),
     "kappa-inf-case-iv": (0, ["certify", "kappa_inf.json", "--depth", "6", "--ell", "5"]),
+    # two- and three-atom branch measures sharing the location 1/2: a float sum taken in
+    # another order than entry by entry changes the last digits of zgodp, widly1 and widly1p
+    "mixed-atoms-case-ii-float": (0, ["certify", "mixed_atoms.json", "--depth", "6", "--mode", "float"]),
+    "mixed-atoms-inf-case-iv-float": (0, ["certify", "mixed_atoms_inf.json", "--depth", "6", "--ell", "5",
+                                          "--mode", "float"]),
     "kappa-inf-reduce": (0, ["reduce", "kappa_inf.json", "--base", "0", "--kmax", "3", "--depth", "6"]),
     "bilateral-certify": (0, ["certify", "bilateral.json", "--depth", "6", "--window", "6"]),
     "bilateral-reduce": (0, ["reduce", "bilateral.json", "--base", "0", "--kmax", "3", "--depth", "5"]),

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,17 @@ class TestWeightSystems:
         ws = WeightSystem.from_rule(lambda v: value)
         with pytest.raises(ZeroWeightError):
             ws.sq(1)
+
+    @pytest.mark.parametrize("build, v, shown", [
+        (lambda: WeightSystem.from_rule(lambda v: float("nan")), 1, "nan"),
+        (lambda: WeightSystem.from_sq_map({}, default=float("nan")), 3, "nan"),
+        (lambda: WeightSystem.from_sq_map({}, default=float("inf")), 3, "inf"),
+        (lambda: WeightSystem({(1, 1): float("inf")}), (1, 1), "inf"),
+    ], ids=["rule-nan", "default-nan", "default-inf", "table-inf"])
+    def test_non_finite_weight_rejected(self, build, v, shown):
+        # NaN is neither negative nor zero, so it needs its own test
+        with pytest.raises(ValueError, match=rf"^squared weight at {re.escape(repr(v))} is {shown}, not a finite"):
+            build().sq(v)
 
     def test_positive_fraction_returned_as_is(self):
         value = Fraction(7, 3)
