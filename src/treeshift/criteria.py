@@ -323,13 +323,33 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
     given (rooted trees), missing children inside the depth are an error
     rather than a silent skip.
 
-    mass[u] is ``AtomicMeasure.total_mass``.  The atoms of mu_u and of the
-    children are walked together in ascending order (``_merged_rows``), and
-    each muu+[u,a] is ``_Checker.eq_sum`` of mu_u({a}) against the terms
-    sq(v) * mu_v({a}) over d = a.
+    mass[u] is ``AtomicMeasure.total_mass``.  When u has one child v and the
+    positive locations of mu_v are the very objects of mu_u's (a ray or stem
+    vertex of a built system), the two atom lists are read side by side.
+    Otherwise the atoms of mu_u and of the children are walked together in
+    ascending order (``_merged_rows``).  Either way each muu+[u,a] is
+    ``_Checker.eq_sum`` of mu_u({a}) against the terms sq(v) * mu_v({a}) over
+    d = a.
     """
     tree = shift.tree
     ck = _Checker(mode, tol)
+    # keyed by id, each holding its key object so that the id stays unique: a location's
+    # label (the measures of a built system share locations) and a measure's atoms off 0
+    labels: dict = {}
+    positive: dict = {}
+
+    def label(a) -> str:
+        got = labels.get(id(a))
+        if got is None:
+            got = labels[id(a)] = (a, format_human(a))
+        return got[1]
+
+    def off_zero(mu: AtomicMeasure) -> list:
+        got = positive.get(id(mu))
+        if got is None:
+            got = positive[id(mu)] = (mu, [atom for atom in mu.atoms if atom[0]])
+        return got[1]
+
     ordered = sorted(system.mu, key=lambda v: (tree.level(v), format_vertex(v)))
     root_level = tree.level(tree.root) if tree.is_rooted else None
     skipped = 0
@@ -345,28 +365,35 @@ def verify_consistent_system(shift: WeightedShift, system: ConsistentSystem,
         fu = format_vertex(u)
         ck.eq(f"mass[{fu}]", mu_u.total_mass(), ONE)
         kid_measures = [system.mu[v] for v in kids]
-        for v, mu_v in zip(kids, kid_measures):
-            if mu_v.has_zero_atom():
+        # a location is 0 exactly when it is falsy, so an atom at 0 is one that off_zero drops
+        kid_atoms = [off_zero(mu_v) for mu_v in kid_measures]
+        for v, mu_v, atoms in zip(kids, kid_measures, kid_atoms):
+            if len(atoms) < len(mu_v.atoms):
                 raise ZeroAtomInChildError(v)
+        own = off_zero(mu_u)
         # a weight is read only when some positive location needs it
-        located = any(s for mu in (mu_u, *kid_measures) for s, _ in mu.atoms)
-        sqs = [shift.sq(v) for v in kids] if located else []
-        # rows of (s, mu_u({s}), None) and (s, None, (sq(v), mu_v({s})))
-        lists = [[(s, w, None) for s, w in mu_u.atoms if s]]
-        for e, mu_v in zip(sqs, kid_measures):
-            lists.append([(s, None, (e, w)) for s, w in mu_v.atoms if s])
-        for a, row in _merged_rows(lists):
-            lhs, terms = ZERO, []
-            for _, w, term in row:
-                if w is not None:
-                    lhs = w
-                else:
-                    terms.append(term)
-            ck.eq_sum(f"muu+[{fu},{format_human(a)}]", lhs, terms, a)
+        sqs = [shift.sq(v) for v in kids] if own or any(kid_atoms) else []
+        kid = kid_atoms[0] if len(sqs) == 1 else None
+        if kid is not None and len(kid) == len(own) and all(a is b for (a, _), (b, _) in zip(own, kid)):
+            for (a, w), (_, x) in zip(own, kid):
+                ck.eq_sum(f"muu+[{fu},{label(a)}]", w, ((sqs[0], x),), a)
+        else:
+            # rows of (s, mu_u({s}), None) and (s, None, (sq(v), mu_v({s})))
+            lists = [[(s, w, None) for s, w in own]]
+            for e, atoms in zip(sqs, kid_atoms):
+                lists.append([(s, None, (e, w)) for s, w in atoms])
+            for a, row in _merged_rows(lists):
+                lhs, terms = ZERO, []
+                for _, w, term in row:
+                    if w is not None:
+                        lhs = w
+                    else:
+                        terms.append(term)
+                ck.eq_sum(f"muu+[{fu},{label(a)}]", lhs, terms, a)
         eps_u = system.eps_at(u)
         if eps_u < 0:
             ck.flag(f"eps[{fu}]", False, f"defect {format_human(eps_u)} is negative")
-        ck.eq(f"muu+[{fu},0]", mu_u.mass_at(ZERO), eps_u)
+        ck.eq(f"muu+[{fu},0]", mu_u.mass_at(ZERO) if len(own) < len(mu_u.atoms) else ZERO, eps_u)
     notes = []
     if skipped:
         notes.append(f"{skipped} boundary vertices skipped (children outside the system)")
@@ -385,6 +412,12 @@ def _emit_stieltjes_checks(ck: _Checker, verdict) -> None:
     else:
         for kind in ("hankel", "hankel_shifted"):
             ck.psd(f"psd[{kind}]", True, f"{kind} form positive semidefinite up to order {verdict.upto}")
+
+
+def _usable(rep: AtomicMeasure, mode: str) -> bool:
+    """Whether a recovered measure can enter the checks: exact mode needs exact atoms, and a
+    recovery whose nodes are irrational returns the nearest floats."""
+    return mode != "exact" or rep.is_exact()
 
 
 def certify_unilateral(shift: WeightedShift, N: int,
@@ -419,6 +452,9 @@ def certify_unilateral(shift: WeightedShift, N: int,
         rep = represent(t, m_max, mode=mode)
         if rep is None:
             notes.append(f"no representing measure with <= {m_max} atoms; consistency up to order {N} only")
+        elif not _usable(rep, mode):
+            rep = None
+            notes.append(f"the representing measure with <= {m_max} atoms has irrational nodes")
     if rep is not None:
         for n in range(len(t)):
             ck.eq(f"rep[{n}]", moments_of(rep, n), t[n])
@@ -480,15 +516,16 @@ def certify_bilateral(shift: WeightedShift, K: int, N: int,
             ck.eq_sum(f"tshift[{k},{n}]", values[n - k], ((values[-k], ms[n]),))
 
     notes = [f"all k <= {K} verified; the criterion quantifies over infinitely many k"]
-    rep = None
     if not sv.violated and m_max is not None:
         rep = represent(ts.shifted(0), m_max, mode=mode)
-        if rep is not None and not rep.has_zero_atom():
+        if rep is not None and not _usable(rep, mode):
+            notes.append(f"the representing measure with <= {m_max} atoms has irrational nodes; "
+                         f"no exact representing measure exhibited")
+        elif rep is not None and not rep.has_zero_atom():
             for n in range(-K, N + 1):
                 ck.eq(f"rep[{n}]", moments_of(rep, n), window[n])
             notes.append("atomic representing measure on (0, inf) matches the whole window")
         else:
-            rep = None
             notes.append(f"no representing measure with <= {m_max} atoms exhibited")
     params = {"window_left": K, "window_right": N}
     if m_max is not None:
@@ -770,9 +807,10 @@ def necessary_checks_determinate(shift: WeightedShift, N: int, m_max: int,
         seq = moment_sequence(shift, entry, N)
         rec = represent(seq, m_max, mode=mode)
         fe = format_vertex(entry)
-        if rec is None:
-            ck.flag(f"recover[{fe}]", False,
-                    f"orbit prefix at {fe} is not reproduced by a measure with <= {m_max} atoms")
+        if rec is None or not _usable(rec, mode):
+            how = "is not reproduced by a measure" if rec is None else "is reproduced only by a measure"
+            irrational = "" if rec is None else ", one whose nodes are irrational, which exact mode cannot check"
+            ck.flag(f"recover[{fe}]", False, f"orbit prefix at {fe} {how} with <= {m_max} atoms{irrational}")
             notes.append("representing measures could not be recovered; supply them explicitly")
             return ck.report("necessary-conditions-determinate", params, notes,
                              verdict=Verdict.INCONCLUSIVE)

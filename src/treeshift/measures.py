@@ -29,8 +29,9 @@ class _PowerSums:
     """Power sums m_0, m_1, ... of exact atoms (s_i, w_i), extended on demand.
 
     With L and B the lcms of the location and mass denominators, P_i = s_i L
-    and A_i = w_i B are integers and m_n = sum_i A_i P_i^n / (B L^n): one
-    integer product per atom and one Fraction per new order.
+    and A_i = w_i B are integers and m_n = N_n / (B L^n) with N_n = sum_i A_i P_i^n:
+    one integer product per atom and one Fraction per new order.  ``nums`` keeps
+    the N_n.
     """
 
     def __init__(self, atoms):
@@ -38,13 +39,15 @@ class _PowerSums:
         self.den = math.lcm(*(w.denominator for _, w in atoms))
         self.bases = [s.numerator * (self.step // s.denominator) for s, _ in atoms]
         self.weights = self.terms = [w.numerator * (self.den // w.denominator) for _, w in atoms]
-        self.sums = [Fraction(sum(self.terms), self.den)]
+        self.nums = [sum(self.terms)]
+        self.sums = [Fraction(self.nums[0], self.den)]
 
     def __getitem__(self, n: int) -> Fraction:
         while len(self.sums) <= n:
             self.terms = [a * p for a, p in zip(self.terms, self.bases)]
             self.den *= self.step
-            self.sums.append(Fraction(sum(self.terms), self.den))
+            self.nums.append(sum(self.terms))
+            self.sums.append(Fraction(self.nums[-1], self.den))
         return self.sums[n]
 
 
@@ -186,12 +189,20 @@ def moment_ratio_rule(mu: AtomicMeasure) -> Callable[[int], Scalar]:
     """The ray weight rule j -> m_{j-1}(mu) / m_{j-2}(mu) for j >= 2, cached.
 
     Squared weights (i, 2), (i, 3), ... given by this rule telescope, so the
-    product of the first n of them is m_n(mu) / m_0(mu).  Raises
+    product of the first n of them is m_n(mu) / m_0(mu).  An exact measure
+    gives N_{j-1} / (L N_{j-2}) from its power sums, one gcd.  Raises
     :class:`ZeroMomentError` when a moment it needs vanishes.
     """
 
     @cache
     def ratio(j: int) -> Scalar:
+        table = mu._ascending
+        if table is not None and j >= 2:
+            table[j - 1]   # extends the power sums to order j - 1
+            num, den = table.nums[j - 1], table.nums[j - 2]
+            if num == 0 or den == 0:
+                raise ZeroMomentError(j - 1 if num == 0 else j - 2)
+            return Fraction(num, table.step * den)
         num, den = mu.moment(j - 1), mu.moment(j - 2)
         if num == 0 or den == 0:
             raise ZeroMomentError(j - 1 if num == 0 else j - 2)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from .rationals import INF, ZERO, Scalar, format_human, format_struct
@@ -26,8 +27,14 @@ class Verdict(str, Enum):
 EXIT_CODES = {Verdict.CERTIFIED: 0, Verdict.VIOLATED: 1, Verdict.INCONCLUSIVE: 2}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Check:
+    """One checked (in)equality, never changed once built.
+
+    Slotted and not frozen, since a report holds one per recorded row and a
+    frozen dataclass sets each field through ``object.__setattr__``.
+    """
+
     cid: str
     relation: str            # "<=", "==", ">=", "psd", "flag"
     lhs: object
@@ -104,6 +111,42 @@ def _render_sides(c: Check, machine: bool) -> tuple:
     return lhs, _render(c.rhs, machine)
 
 
+# the keys of a check's struct entry, in the order to_struct lists them
+_ENTRY_KEYS = ("id", "relation", "lhs", "rhs", "slack", "passed", "note")
+
+
+def _entry(c: Check) -> tuple:
+    """The struct values of ``c``, in ``_ENTRY_KEYS`` order."""
+    lhs, rhs = _render_sides(c, True)
+    return c.cid, c.relation, lhs, rhs, _render(c.slack, True), c.passed, c.note
+
+
+def _dump(value) -> str:
+    """Canonical JSON of ``value``: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _scalar_json(value) -> str:
+    """_dump(value) for an entry's value: strings by the C escaper that json.dumps uses."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _dump(value)
+
+
+def _entry_json(c: Check) -> str:
+    """``_dump`` of the struct entry of ``c``, its keys written in sorted order."""
+    cid, relation, lhs, rhs, slack, passed, note = _entry(c)
+    lhs_json = _scalar_json(lhs)
+    rhs_json = lhs_json if rhs is lhs else _scalar_json(rhs)
+    return (f'{{"id":{_scalar_json(cid)},"lhs":{lhs_json},"note":{_scalar_json(note)},'
+            f'"passed":{_scalar_json(passed)},"relation":{_scalar_json(relation)},'
+            f'"rhs":{rhs_json},"slack":{_scalar_json(slack)}}}')
+
+
 @dataclass
 class CertificateReport:
     criterion: str
@@ -129,29 +172,25 @@ class CertificateReport:
     def exit_code(self) -> int:
         return EXIT_CODES[self.verdict]
 
+    def _params(self) -> dict:
+        return {k: _render(v, True) for k, v in sorted(self.params.items())}
+
     def to_struct(self) -> dict:
         return {
             "criterion": self.criterion,
             "verdict": self.verdict.value,
             "arithmetic": self.arithmetic,
-            "params": {k: _render(v, True) for k, v in sorted(self.params.items())},
-            "checks": [
-                {
-                    "id": c.cid,
-                    "relation": c.relation,
-                    "lhs": (sides := _render_sides(c, True))[0],
-                    "rhs": sides[1],
-                    "slack": _render(c.slack, True),
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
+            "params": self._params(),
+            "checks": [dict(zip(_ENTRY_KEYS, _entry(c))) for c in self.checks],
             "notes": list(self.notes),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_struct(), sort_keys=True, separators=(",", ":")) + "\n"
+        """``json.dumps(self.to_struct(), sort_keys=True, separators=(",", ":")) + "\\n"``, with the
+        checks joined entry by entry instead of dumped as one dict each."""
+        return (f'{{"arithmetic":{_dump(self.arithmetic)},"checks":[{",".join(map(_entry_json, self.checks))}],'
+                f'"criterion":{_dump(self.criterion)},"notes":{_dump(list(self.notes))},'
+                f'"params":{_dump(self._params())},"verdict":{_dump(self.verdict.value)}}}\n')
 
     def to_text(self) -> str:
         lines = [f"criterion: {self.criterion}"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -842,3 +843,74 @@ class TestWeightsBlock:
         assert stem_equalities("--ell", "6", file=_write(tmp_path, "ell.json", doc)) == 6
         code, _, err = run_cli(capsys, "certify", path, "--necessary", "--ell", str(10 ** 8))
         assert (code, err) == (3, "error: ell must be at most 10000, got 100000000\n")
+
+
+def _golden_ratio_moments(count):
+    """Moments of 1/2 delta[a] + 1/2 delta[b], a, b = (3 -+ sqrt 5) / 2: rational, with irrational nodes."""
+    t = [Fraction(1), Fraction(3, 2)]
+    while len(t) < count:
+        t.append(3 * t[-1] - t[-2])
+    return t
+
+
+def _q(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+class TestIrrationalNodes:
+    """A valid document whose orbit measure has irrational nodes is not an input error in exact mode:
+    the recovered float atoms count as no exact representing measure."""
+
+    T = _golden_ratio_moments(40)
+
+    def chain(self, tmp_path):
+        t = self.T
+        return _write(tmp_path, "chain.json", {
+            "tree": {"kind": "edges", "edges": [[n, n + 1] for n in range(24)]},
+            "weights": {"map": {str(n + 1): {"sq": _q(t[n + 1] / t[n])} for n in range(24)}},
+            "mode": "exact"})
+
+    def bilateral(self, tmp_path):
+        # the orbit sequence at -1 is the moments of (2/3) s^-1 dmu, a probability measure on mu's nodes
+        t = self.T
+        weights = {"0": {"sq": "2/3"}, **{str(v): {"sq": _q(t[v] / t[v - 1])} for v in range(1, 39)}}
+        return _write(tmp_path, "bilateral.json", {
+            "tree": {"kind": "bilateral"}, "weights": {"map": weights, "default": {"sq": "1/1"}},
+            "mode": "exact"})
+
+    def test_chain_certifies_to_the_order(self, capsys, tmp_path):
+        path = self.chain(tmp_path)
+        code, out, err = run_cli(capsys, "certify", path, "--depth", "20")
+        assert (code, err) == (0, "")
+        assert "arithmetic: exact" in out
+        assert "note: the representing measure with <= 4 atoms has irrational nodes\n" in out
+        assert "note: no exact representing measure exhibited; verdict is order-limited consistency\n" in out
+        assert "rep[" not in out and "muu+" not in out
+        # the float route still builds and verifies the chain system
+        code, out, _ = run_cli(capsys, "certify", path, "--depth", "20", "--mode", "float")
+        assert code == 0 and "explicit chain system verified on 21 vertices" in out
+
+    def test_necessary_is_inconclusive(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(A3_DOC))
+        del doc["weights"]["rules"][1]
+        doc["weights"]["map"].update({f"(2,{j})": {"sq": _q(self.T[j - 1] / self.T[j - 2])} for j in range(2, 40)})
+        code, out, err = run_cli(capsys, "certify", _write(tmp_path, "a3.json", doc), "--necessary")
+        assert (code, err) == (2, "")
+        assert "verdict: INCONCLUSIVE   arithmetic: exact" in out
+        assert ("[FAIL] recover[(2,1)]: orbit prefix at (2,1) is reproduced only by a measure with <= 4 atoms, "
+                "one whose nodes are irrational, which exact mode cannot check\n") in out
+
+    def test_bilateral_window_certifies(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "certify", self.bilateral(tmp_path), "--window", "1", "--depth", "20")
+        assert (code, err) == (0, "")
+        assert "verdict: CERTIFIED   arithmetic: exact" in out
+        assert "has irrational nodes; no exact representing measure exhibited" in out
+        assert "rep[" not in out
+
+    def test_reduce_certifies(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "reduce", self.bilateral(tmp_path), "--base", "0", "--kmax", "1",
+                                 "--depth", "20", "--m-max", "4", "--format", "struct")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["arithmetic"]) == ("certified", "exact")
+        assert not any(c["id"].startswith("des[-1]:rep[") for c in doc["checks"])

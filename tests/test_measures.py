@@ -168,10 +168,28 @@ class TestMomentRatioRule:
         from treeshift import ZeroMomentError
         from treeshift.measures import moment_ratio_rule
 
-        with pytest.raises(ZeroMomentError):
-            moment_ratio_rule(AtomicMeasure.from_atoms([(1, 0)]))(2)
-        with pytest.raises(ZeroMomentError):
-            moment_ratio_rule(AtomicMeasure.point_mass(0))(2)
+        # exact and float measures whose moments of order >= 1 (and m_0, for the zero measure) vanish;
+        # the error names the index that m_{j-1} / m_{j-2} names: the numerator's when it vanishes
+        for mu in (AtomicMeasure.from_atoms([(1, 0)]), AtomicMeasure.point_mass(0),
+                   AtomicMeasure(((0.0, 1.0),)), AtomicMeasure(((1.5, 0.0),))):
+            for j in (2, 3, 6):
+                want = j - 1 if mu.moment(j - 1) == 0 else j - 2
+                with pytest.raises(ZeroMomentError) as exc:
+                    moment_ratio_rule(mu)(j)
+                assert exc.value.order == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=9),
+                    min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(1, 9), min_size=3, max_size=3), st.booleans(), st.integers(2, 30))
+    def test_ratio_is_the_moment_quotient(self, locations, raw, as_float, j):
+        # locations with denominators above 1, so the power sums' L is not 1; float measures by the quotient
+        masses = [Fraction(r, sum(raw[:len(locations)])) for r in raw[:len(locations)]]
+        atoms = [(float(s), float(w)) if as_float else (s, w) for s, w in zip(locations, masses)]
+        mu = AtomicMeasure(tuple(sorted(atoms)))
+        got = moment_ratio_rule(mu)(j)
+        assert type(got) is (float if as_float else Fraction)
+        assert got == mu.moment(j - 1) / mu.moment(j - 2)
 
     def test_document_rules_and_synthesis_agree(self):
         from treeshift import make_branch_shift, make_tree_eta_kappa

@@ -1,4 +1,4 @@
-"""Integer cross-product checks against the Fraction loops they replaced.
+"""Integer cross-product checks against the loops they replaced.
 
 ``verify_consistent_system`` decides exact data by cross-multiplying, and
 ``_zgod0_checks`` compares m_n with prod * sq_n the same way.  A passing
@@ -9,6 +9,11 @@ systems with one mass, location or child measure perturbed, and on shifts
 with one ray weight scaled.  A wrong cross-product that says "differ"
 would still render the right report through the Fraction fallback, so
 the tests also require every passing exact check to carry its lhs as rhs.
+
+The perturbations also swap in equal but distinct location objects (which
+leave the side-by-side rows of a one-child vertex), float masses, a zero
+atom at a ray vertex or a missing vertex, in modes auto, exact and float;
+where the loop raises, the function must raise alike.
 """
 
 from fractions import Fraction
@@ -100,6 +105,15 @@ def parent_zgod0_checks(ck, shift, frame, measures, N):
             ck.eq(f"zgod0[{i},{n}]", moments_of(mu, n), prod)
 
 
+def outcome(run):
+    """The report ``run()`` returns and its canonical JSON, or None and the type and text of what it raised."""
+    try:
+        report = run()
+    except Exception as exc:   # both routes must raise alike
+        return None, (type(exc).__name__, str(exc))
+    return report, report.to_json()
+
+
 small = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=9)
 
 
@@ -141,18 +155,31 @@ def _replace(system, v, mu):
 
 
 def _perturb(data, system):
-    """One ray, stem or branching-vertex mass, one location, or one child's measure changed (or none)."""
+    """One ray, stem or branching-vertex mass, one location, or one child's measure changed (or none);
+    or one vertex's locations as equal but distinct objects, its masses as floats, a zero atom added
+    to a ray vertex, or its measure missing."""
     kind = data.draw(st.sampled_from(["none", "ray mass", "stem mass", "branch mass", "location",
-                                      "child measure"]))
+                                      "child measure", "equal locations", "float masses", "zero atom",
+                                      "missing"]))
     if kind == "none":
         return system
     rays = sorted((v for v in system.mu if isinstance(v, tuple)), key=format_vertex)
     stem = sorted((v for v in system.mu if not isinstance(v, tuple)), key=format_vertex)
-    pool = {"ray mass": rays, "stem mass": stem, "branch mass": [0]}.get(kind, rays + stem)
+    # a ray vertex is always some vertex's child, so a zero atom there is always an error
+    pool = {"ray mass": rays, "stem mass": stem, "branch mass": [0], "zero atom": rays}.get(kind, rays + stem)
     v = data.draw(st.sampled_from(pool))
     atoms = list(system.mu[v].atoms)
     if kind == "child measure":
         return _replace(system, v, data.draw(measures()))
+    if kind == "equal locations":
+        return _replace(system, v, AtomicMeasure(tuple((Fraction(s.numerator, s.denominator), w)
+                                                       for s, w in atoms)))
+    if kind == "float masses":
+        return _replace(system, v, AtomicMeasure(tuple((s, float(w)) for s, w in atoms)))
+    if kind == "zero atom":
+        return _replace(system, v, AtomicMeasure.from_atoms(atoms + [(ZERO, Fraction(1, 7))]))
+    if kind == "missing":
+        return ConsistentSystem({u: mu for u, mu in system.mu.items() if u != v}, system.eps)
     k = data.draw(st.integers(0, len(atoms) - 1))
     s, w = atoms[k]
     if kind == "location":
@@ -160,6 +187,11 @@ def _perturb(data, system):
         return _replace(system, v, AtomicMeasure.from_atoms(atoms))
     atoms[k] = (s, w * data.draw(st.sampled_from([Fraction(1, 2), Fraction(999, 1000), Fraction(3, 2)])))
     return _replace(system, v, AtomicMeasure(tuple(atoms)))
+
+
+def _exact_passes(checks):
+    """The passing checks between two Fractions: the ones a cross-product decides."""
+    return [c for c in checks if c.passed and type(c.lhs) is Fraction and type(c.rhs) is Fraction]
 
 
 @SETTINGS
@@ -173,27 +205,34 @@ def test_recursion_report_matches_fraction_loop(built, extra, mode, data):
         system = build_branch_tree_system(shift, mus, kappa + extra)
         strict = kappa + extra - 1
     system = _perturb(data, system)
-    got = verify_consistent_system(shift, system, depth=strict, mode=mode)
-    assert got.to_json() == parent_verify(shift, system, depth=strict, mode=mode).to_json()
-    if mode != "float":   # the cross-product decided every passing muu+[u,a], a > 0
-        assert all(c.rhs is c.lhs for c in got.checks
-                   if c.passed and c.cid.startswith("muu+") and not c.cid.endswith(",0]"))
+    got, rendered = outcome(lambda: verify_consistent_system(shift, system, depth=strict, mode=mode))
+    assert rendered == outcome(lambda: parent_verify(shift, system, depth=strict, mode=mode))[1]
+    if got is not None and mode != "float":   # the cross-product decided every passing muu+[u,a], a > 0
+        assert all(c.rhs is c.lhs for c in _exact_passes(got.checks)
+                   if c.cid.startswith("muu+") and not c.cid.endswith(",0]"))
+
+
+def _zgod0_report(run, shift, frame, mus, N, mode):
+    ck = _Checker(mode)
+    run(ck, shift, frame, mus, N)
+    return ck.report("zgod0", {})
 
 
 @SETTINGS
-@given(branch_shifts(), st.integers(1, 8), st.sampled_from(["auto", "float"]), st.data())
-def test_zgod0_report_matches_running_product(built, N, mode, data):
+@given(branch_shifts(), st.integers(1, 8), st.sampled_from(["auto", "exact", "float"]),
+       st.sampled_from([ONE, Fraction(1, 2), Fraction(1001, 1000), Fraction(3), 1.0, 0.5]), st.data())
+def test_zgod0_report_matches_running_product(built, N, mode, factor, data):
     shift, mus, _ = built
     frame = branch_frame(shift)
     i = data.draw(st.integers(1, len(mus)))
     target = (i, data.draw(st.integers(2, N + 1)))
-    factor = data.draw(st.sampled_from([ONE, Fraction(1, 2), Fraction(1001, 1000), Fraction(3)]))
     weights = WeightSystem.from_rule(lambda v: shift.sq(v) * factor if v == target else shift.sq(v))
     scaled = WeightedShift(shift.tree, weights)
-    got, want = _Checker(mode), _Checker(mode)
-    _zgod0_checks(got, scaled, frame, mus, N)
-    parent_zgod0_checks(want, scaled, frame, mus, N)
-    assert got.report("zgod0", {}).to_json() == want.report("zgod0", {}).to_json()
-    if mode != "float":   # the cross-product decided every passing check
-        assert all(c.rhs is c.lhs for c in got.checks if c.passed)
-    assert got.verdict().value == ("certified" if factor == 1 else "violated")
+    got, rendered = outcome(lambda: _zgod0_report(_zgod0_checks, scaled, frame, mus, N, mode))
+    assert rendered == outcome(lambda: _zgod0_report(parent_zgod0_checks, scaled, frame, mus, N, mode))[1]
+    if mode == "exact" and type(factor) is float:   # the float weight at target is inside the prefix
+        assert rendered == ("ValueError", "exact mode requires rational data throughout")
+        return
+    if mode != "float":   # the cross-product decided every passing exact check
+        assert all(c.rhs is c.lhs for c in _exact_passes(got.checks))
+    assert got.verdict.value == ("certified" if factor == 1 else "violated")

@@ -7,6 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeshift import (
     AtomicMeasure,
@@ -162,3 +163,41 @@ def test_cli_certifies_a_document_with_moments_of_any_size(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code in (0, 1), captured.err
         assert captured.err == ""
+
+
+# -- the joined JSON ---------------------------------------------------------------
+
+# text that JSON must escape: quotes, backslashes, control characters and non-ASCII text
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+                max_size=12)
+_BIG = st.integers(0, 10 ** 6).map(lambda k: 10 ** 4300 + k)   # past the int-string digit limit
+_VALUES = st.one_of(
+    st.fractions(), st.builds(Fraction, _BIG, st.integers(1, 10 ** 6)), st.integers(), _BIG,
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), _TEXT, st.none())
+
+
+@st.composite
+def _reports(draw):
+    checks = [Check(draw(_TEXT), draw(st.sampled_from(["==", "<=", "flag", "psd", "x\"y"])), draw(_VALUES),
+                    draw(_VALUES), draw(st.one_of(st.booleans(), st.integers(0, 1))), draw(_VALUES), draw(_TEXT))
+              for _ in range(draw(st.integers(0, 4)))]
+    for c in list(checks):
+        if draw(st.booleans()):   # rhs is lhs, as a passing exact check records it
+            checks.append(Check(c.cid, "==", c.lhs, c.lhs, True, draw(_VALUES), c.note))
+    return CertificateReport(draw(_TEXT), draw(st.sampled_from(list(Verdict))), draw(_TEXT), checks,
+                             draw(st.dictionaries(_TEXT, _VALUES, max_size=3)),
+                             draw(st.lists(_TEXT, max_size=3)))
+
+
+def _json_or_error(render):
+    try:
+        return render()
+    except ValueError as exc:   # an int past the digit limit, as json.dumps raises it
+        return "ValueError", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports())
+def test_joined_json_is_the_dumped_struct(report):
+    want = _json_or_error(lambda: json.dumps(report.to_struct(), sort_keys=True, separators=(",", ":")) + "\n")
+    assert _json_or_error(report.to_json) == want
